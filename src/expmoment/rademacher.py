@@ -16,13 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import (
-    NonFiniteError,
-    TermBudgetExceededError,
-    TooManySignsError,
-    validate_order,
-)
-from .spectral import DEFAULT_TERM_BUDGET, _compositions, composition_count
+from .core import NonFiniteError, TooManySignsError, validate_order
+from .spectral import DEFAULT_TERM_BUDGET, _amplitude_rows
 
 _MAX_EXHAUSTIVE = 24
 _SIGN_CHUNK = 1 << 16
@@ -53,18 +48,7 @@ def exact_even_moment(values, q: int,
                       term_budget: int = DEFAULT_TERM_BUDGET) -> float:
     """E|sum_n eps_n z_n|^{2q} exactly, via parity classes of compositions."""
     validate_order(q)
-    z = _as_complex(values)
-    n = z.size
-    n_comps = composition_count(n, q)
-    if n_comps * n_comps > term_budget:
-        raise TermBudgetExceededError(
-            f"{n_comps}^2 composition pairs exceed budget {term_budget}")
-    comps = np.asarray(_compositions(q, n), dtype=np.int64)
-    fact_q = math.factorial(q)
-    multinoms = np.array(
-        [fact_q // math.prod(math.factorial(int(k)) for k in row)
-         for row in comps], dtype=np.float64)
-    amps = multinoms * np.prod(z[None, :] ** comps, axis=1)
+    comps, amps = _amplitude_rows(_as_complex(values), q, term_budget)
     classes: dict[tuple, complex] = {}
     for key, a in zip(map(tuple, (comps & 1).tolist()), amps.tolist()):
         classes[key] = classes.get(key, 0j) + a

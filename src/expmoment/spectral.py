@@ -35,6 +35,9 @@ DEFAULT_TERM_BUDGET = 10 ** 8
 # Rows of composition pairs processed per numpy block.
 _ROW_CHUNK = 4_000_000
 
+# Bound on 2q max|phi| for exact integer-frequency expansion.
+_EXACT_INTEGER_LIMIT = 2 ** 53
+
 
 @dataclass(frozen=True)
 class SpectralExpansion:
@@ -83,10 +86,17 @@ def default_merge_tol(source, q: int) -> float:
     return 1e-9 * max(1.0, q * max(abs(p) for p in source.frequencies))
 
 
-def _amplitude_rows(source, q: int):
-    """Per-composition data: multinomial weights A_k (complex) and k.phi."""
-    coeffs = np.asarray(coefficient_values(source), dtype=np.complex128)
-    phis = np.asarray(source_frequencies(source), dtype=np.float64)
+def _amplitude_rows(values, q: int, term_budget: int):
+    """Compositions k of q and the one-sided modes A_k of (sum c_n e^{it phi_n})^q.
+
+    Raises TermBudgetExceededError when the composition pairs of |S|^{2q}
+    would exceed term_budget.
+    """
+    coeffs = np.asarray(values, dtype=np.complex128)
+    n_comps = composition_count(coeffs.size, q)
+    if n_comps * n_comps > term_budget:
+        raise TermBudgetExceededError(
+            f"{n_comps}^2 composition pairs exceed budget {term_budget}")
     comps = np.asarray(_compositions(q, coeffs.size), dtype=np.int64)
     fact_q = math.factorial(q)
     multinoms = np.array(
@@ -94,12 +104,15 @@ def _amplitude_rows(source, q: int):
          for row in comps], dtype=np.float64)
     # 0^0 = 1 under numpy power, so zero coefficients are handled exactly.
     prods = np.prod(coeffs[None, :] ** comps, axis=1)
-    return comps, multinoms * prods, comps @ phis
+    return comps, multinoms * prods
 
 
 def _merge(omegas: np.ndarray, coeffs: np.ndarray,
            tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster omegas closer than tol (on the sorted sequence) and sum coeffs."""
+    """Cluster omegas closer than tol (on the sorted sequence) and sum coeffs.
+
+    With tol = 0 only equal omegas merge, and each keeps its exact value.
+    """
     order = np.argsort(omegas, kind="stable")
     om = omegas[order]
     co = coeffs[order]
@@ -108,23 +121,23 @@ def _merge(omegas: np.ndarray, coeffs: np.ndarray,
     breaks = np.flatnonzero(np.diff(om) > tol) + 1
     starts = np.concatenate(([0], breaks))
     merged_co = np.add.reduceat(co, starts)
+    if tol == 0:
+        return om[starts], merged_co
     counts = np.diff(np.concatenate((starts, [om.size])))
     merged_om = np.add.reduceat(om, starts) / counts
     return merged_om, merged_co
 
 
-def expand(source: Instance | ComplexCoefficients, q: int,
-           merge_tol: float | None = None,
-           term_budget: int = DEFAULT_TERM_BUDGET) -> SpectralExpansion:
-    """Full multi-index-pair expansion of |S(t)|^{2q}, merged by omega."""
-    validate_order(q)
-    n_comps = composition_count(source.size, q)
-    if n_comps * n_comps > term_budget:
-        raise TermBudgetExceededError(
-            f"{n_comps}^2 composition pairs exceed budget {term_budget}")
-    if merge_tol is None:
-        merge_tol = default_merge_tol(source, q)
-    _, amps, freqs = _amplitude_rows(source, q)
+def _expand(source, q: int, phis: np.ndarray, merge_tol: float,
+            term_budget: int) -> SpectralExpansion:
+    """All composition pairs (k, h) at omega = (k - h).phi, merged by omega.
+
+    Integer phis keep every omega an exact integer until the final cast.
+    """
+    values = coefficient_values(source)
+    comps, amps = _amplitude_rows(values, q, term_budget)
+    freqs = comps @ phis
+    n_comps = freqs.size
 
     rows_per_chunk = max(1, _ROW_CHUNK // n_comps)
     parts_om, parts_co = [], []
@@ -138,50 +151,51 @@ def expand(source: Instance | ComplexCoefficients, q: int,
     omegas, coeffs = _merge(np.concatenate(parts_om),
                             np.concatenate(parts_co), merge_tol)
 
-    s0_direct = float(np.abs(np.sum(np.asarray(coefficient_values(source),
+    s0_direct = float(np.abs(np.sum(np.asarray(values,
                                                dtype=np.complex128))) ** (2 * q))
     total = complex(np.sum(coeffs))
     parseval = abs(total - s0_direct) / max(s0_direct, 1e-300)
     return SpectralExpansion(
-        omegas, coeffs, q, source,
+        omegas.astype(np.float64, copy=False), coeffs, q, source,
         {"merge_tol": merge_tol, "raw_pairs": n_comps * n_comps,
-         "parseval_rel_err": parseval, "exact_omegas": False})
+         "parseval_rel_err": parseval, "exact_omegas": phis.dtype.kind == "i"})
+
+
+def expand(source: Instance | ComplexCoefficients, q: int,
+           merge_tol: float | None = None,
+           term_budget: int = DEFAULT_TERM_BUDGET) -> SpectralExpansion:
+    """Full multi-index-pair expansion of |S(t)|^{2q}, merged by omega."""
+    validate_order(q)
+    if merge_tol is None:
+        merge_tol = default_merge_tol(source, q)
+    phis = np.asarray(source_frequencies(source), dtype=np.float64)
+    return _expand(source, q, phis, merge_tol, term_budget)
+
+
+def integer_mode(source: Instance | ComplexCoefficients, q: int) -> bool:
+    """Whether every frequency is an integer with 2q max|phi| <= 2^53.
+
+    Then every k.phi and every pair difference is an integer that float64
+    holds exactly and int64 holds without overflow.
+    """
+    phis = source_frequencies(source)
+    return (all(float(p).is_integer() for p in phis)
+            and 2 * q * max(abs(p) for p in phis) <= _EXACT_INTEGER_LIMIT)
 
 
 def rational_mode_expand(source: Instance | ComplexCoefficients, q: int,
                          term_budget: int = DEFAULT_TERM_BUDGET) -> SpectralExpansion:
-    """Expansion with integer frequencies: omegas and merging are exact."""
+    """Expansion with integer frequencies: omegas and merging are exact.
+
+    Raises NotIntegerError unless integer_mode(source, q) holds.
+    """
     validate_order(q)
-    phis = source_frequencies(source)
-    int_phis = []
-    for p in phis:
-        if p != int(p):
-            raise NotIntegerError(f"frequency {p!r} is not an integer")
-        int_phis.append(int(p))
-    n_comps = composition_count(source.size, q)
-    if n_comps * n_comps > term_budget:
-        raise TermBudgetExceededError(
-            f"{n_comps}^2 composition pairs exceed budget {term_budget}")
-    comps, amps, _ = _amplitude_rows(source, q)
-    kdot = comps @ np.asarray(int_phis, dtype=np.int64)
-
-    merged: dict[int, complex] = {}
-    for i in range(n_comps):
-        oms = kdot[i] - kdot
-        cos = amps[i] * np.conj(amps)
-        for om, co in zip(oms.tolist(), cos.tolist()):
-            merged[om] = merged.get(om, 0j) + co
-    omegas = np.array(sorted(merged), dtype=np.float64)
-    coeffs = np.array([merged[int(o)] for o in omegas], dtype=np.complex128)
-
-    s0_direct = float(np.abs(np.sum(np.asarray(coefficient_values(source),
-                                               dtype=np.complex128))) ** (2 * q))
-    total = complex(np.sum(coeffs))
-    parseval = abs(total - s0_direct) / max(s0_direct, 1e-300)
-    return SpectralExpansion(
-        omegas, coeffs, q, source,
-        {"merge_tol": 0.0, "raw_pairs": n_comps * n_comps,
-         "parseval_rel_err": parseval, "exact_omegas": True})
+    if not integer_mode(source, q):
+        raise NotIntegerError(
+            f"integer mode needs integer frequencies with 2q max|phi| <= 2^53, "
+            f"got q = {q} and frequencies {source_frequencies(source)!r}")
+    phis = np.asarray(source_frequencies(source), dtype=np.int64)
+    return _expand(source, q, phis, 0.0, term_budget)
 
 
 def _real_part(total: complex, scale: float, what: str) -> float:

@@ -59,6 +59,18 @@ def _table_to_csv(path, name: str, arr: np.ndarray) -> None:
             writer.writerow([m, int(arr[m])])
 
 
+def _indicator_power(M: int, nu: int, limit: int) -> np.ndarray:
+    """nu-fold Dirichlet convolution of the indicator of [1, M], at m <= limit."""
+    cur = np.zeros(limit + 1, dtype=np.int64)
+    cur[1:M + 1] = 1
+    for _ in range(nu - 1):
+        new = np.zeros(limit + 1, dtype=np.int64)
+        for d in range(1, M + 1):
+            new[d::d] += cur[1:limit // d + 1]
+        cur = new
+    return cur
+
+
 def power_coefficients(N: int, nu: int, limit: int | None = None,
                        budget: int = DEFAULT_ENTRY_BUDGET) -> CoefficientTable:
     """nu-fold Dirichlet convolution of the indicator of [1, N], exact integers.
@@ -75,15 +87,7 @@ def power_coefficients(N: int, nu: int, limit: int | None = None,
     limit = min(limit, full)
     if limit > budget:
         raise BudgetExceededError(f"table of {limit} entries exceeds budget {budget}")
-    cur = np.zeros(limit + 1, dtype=np.int64)
-    cur[1:min(N, limit) + 1] = 1
-    for _ in range(nu - 1):
-        new = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, min(N, limit) + 1):
-            cnt = limit // d
-            new[d::d] += cur[1:cnt + 1]
-        cur = new
-    return CoefficientTable(nu, N, limit, cur)
+    return CoefficientTable(nu, N, limit, _indicator_power(min(N, limit), nu, limit))
 
 
 def divisor_table(x: int, nu: int,
@@ -94,10 +98,6 @@ def divisor_table(x: int, nu: int,
         raise BudgetExceededError("x must be >= 1")
     if x > budget:
         raise BudgetExceededError(f"table of {x} entries exceeds budget {budget}")
-    if nu == 1:
-        d = np.ones(x + 1, dtype=np.int64)
-        d[0] = 0
-        return DivisorTable(nu, x, d)
     if nu == 2:
         # Pair divisors (e, m/e) with e <= sqrt(m): loop only to sqrt(x).
         d = np.zeros(x + 1, dtype=np.int64)
@@ -105,14 +105,8 @@ def divisor_table(x: int, nu: int,
             d[e * e] += 1
             d[e * e + e::e] += 2
         return DivisorTable(nu, x, d)
-    cur = np.ones(x + 1, dtype=np.int64)
-    cur[0] = 0
-    for _ in range(nu - 1):
-        new = np.zeros(x + 1, dtype=np.int64)
-        for e in range(1, x + 1):
-            new[e::e] += cur[1:x // e + 1]
-        cur = new
-    return DivisorTable(nu, x, cur)
+    # Every factor of m <= x is itself <= x, so d_nu(m) = b_m with N = x.
+    return DivisorTable(nu, x, _indicator_power(x, nu, x))
 
 
 def _weighted_square_sum(arr: np.ndarray, upto: int) -> float:

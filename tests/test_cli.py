@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from expmoment import spectral
 from expmoment.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_OK,
+    EXIT_VIOLATED,
     main,
 )
 
@@ -40,6 +42,19 @@ def test_moment_both_engines_reports_disagreement(two_tone, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert "disagreement" in rec
     assert float(rec["disagreement"]) < 1e-9
+
+
+def test_moment_both_engines_disagreeing_is_violated(two_tone, monkeypatch,
+                                                     capsys):
+    exact = spectral.integral_exact
+    monkeypatch.setattr(spectral, "integral_exact",
+                        lambda expansion, window: 1.01 * exact(expansion, window))
+    assert main(["moment", "--instance", two_tone, "--q", "2", "--T", "2.5",
+                 "--engine", "both"]) == EXIT_VIOLATED
+    rec = json.loads(capsys.readouterr().out)
+    assert {"engine", "spectral_exact", "quadrature", "error_estimate",
+            "disagreement"} <= set(rec)
+    assert float(rec["disagreement"]) == pytest.approx(0.01 / 1.01, rel=1e-6)
 
 
 def test_moment_output_reparses_exactly(two_tone, capsys):
@@ -138,6 +153,4 @@ def test_plotdata_empty_grid_is_invalid(two_tone):
 
 
 def test_budget_exit_code(capsys):
-    inline = "a=" + ",".join(["1"] * 12) + ";phi=" + \
-             ",".join(str(k) for k in range(12))
     assert main(["zeta", "--nu", "3", "--N", "1000"]) == EXIT_BUDGET

@@ -152,6 +152,16 @@ def test_rational_mode_rejects_non_integers():
         rational_mode_expand(validate_instance([1.0], [0.5]), 1)
 
 
+def test_rational_mode_rejects_out_of_range_frequencies():
+    # Past 2q max|phi| = 2^53, int64 k.phi wraps and float64 rounds.
+    for phis in ([0.0, 2.0 ** 62], [0.0, 1e300]):
+        with pytest.raises(NotIntegerError):
+            rational_mode_expand(validate_instance([1.0, 1.0], phis), 2)
+    edge = rational_mode_expand(validate_instance([1.0, 1.0], [0.0, 2.0 ** 51]), 2)
+    assert edge.omegas.tolist() == [k * 2.0 ** 51 for k in (-2, -1, 0, 1, 2)]
+    assert edge.coeffs.real.tolist() == [1.0, 4.0, 6.0, 4.0, 1.0]
+
+
 def test_rational_matches_float_expand():
     rng = np.random.default_rng(21)
     for _ in range(10):

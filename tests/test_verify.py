@@ -10,6 +10,8 @@ from expmoment.core import (
     dominated_coefficients,
     validate_instance,
 )
+from expmoment.fejer import KernelParams
+from expmoment.spectral import expand, fejer_weighted_exact
 from expmoment.verify import (
     check_bohr_bound,
     check_eq45,
@@ -111,9 +113,22 @@ def test_eq45_rational_mode():
     inst = validate_instance([0.5, 0.25, 0.9, 0.4],
                              [-3.0, 0.0, 2.0, 7.0])
     cc = random_dominated(rng, inst)
-    rep = check_eq45(cc, 3, 5.0, 17.0, rational=True)
+    rep = check_eq45(cc, 3, 5.0, 17.0)
     assert rep.passed
     assert rep.method["rational_mode"]
+
+
+def test_eq45_infers_integer_mode():
+    rng = np.random.default_rng(47)
+    for phis, integer in (([-3.0, 0.0, 2.0], True), ([-3.0, 0.5, 2.0], False)):
+        inst = validate_instance([0.5, 0.9, 0.4], phis)
+        cc = random_dominated(rng, inst)
+        rep = check_eq45(cc, 2, 5.0, 17.0)
+        assert rep.method["rational_mode"] is integer
+        assert rep.lhs == pytest.approx(
+            fejer_weighted_exact(expand(cc, 2), KernelParams(5.0, 17.0)), rel=1e-9)
+        assert rep.rhs == pytest.approx(
+            fejer_weighted_exact(expand(inst, 2), KernelParams(5.0, 0.0)), rel=1e-9)
 
 
 def test_sup_chain_single_term_equality():
@@ -122,6 +137,7 @@ def test_sup_chain_single_term_equality():
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0)
     assert rep.method["averages"][-1] == pytest.approx(1.0, rel=1e-9)
+    assert rep.method["left_side"] == "reported, not checked"
 
 
 def test_sup_chain_two_tone_middle_value():
