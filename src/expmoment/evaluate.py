@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,19 +71,40 @@ def eval_batch(source: Instance | ComplexCoefficients, grid, q: int) -> list[flo
 # Vectorized kernels for the integration engines (numpy, internal).
 # --------------------------------------------------------------------------
 
-def sum_on_array(source, ts: np.ndarray) -> np.ndarray:
-    """S(t) on an array of points."""
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """The points rows[i] + cols[j], laid out as a (rows, cols) array.
+
+    Since e^{i(r+c)phi} = e^{ir phi} e^{ic phi}, S on a grid costs
+    N*(rows + cols) exponentials and one matrix product.
+    """
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.rows.size * self.cols.size
+
+    def points(self) -> np.ndarray:
+        return np.add.outer(self.rows, self.cols)
+
+
+def sum_on_array(source, ts: np.ndarray | Grid) -> np.ndarray:
+    """S(t) on an array of points or on a Grid (shaped like its points())."""
+    grid = ts if isinstance(ts, Grid) else Grid(np.ravel(ts), np.zeros(1))
     coeffs = np.asarray(coefficient_values(source), dtype=np.complex128)
     phis = np.asarray(source_frequencies(source), dtype=np.float64)
-    return np.exp(1j * np.multiply.outer(ts, phis)) @ coeffs
+    left = np.exp(1j * np.multiply.outer(grid.rows, phis)) * coeffs
+    s = left @ np.exp(1j * np.multiply.outer(phis, grid.cols))
+    return s if isinstance(ts, Grid) else s.reshape(np.shape(ts))
 
 
-def power_on_array(source, ts: np.ndarray, q: int) -> np.ndarray:
-    """|S(t)|^{2q} on an array of points."""
+def power_on_array(source, ts: np.ndarray | Grid, q: int) -> np.ndarray:
+    """|S(t)|^{2q} on an array of points or on a Grid."""
     s = sum_on_array(source, ts)
     return (s.real * s.real + s.imag * s.imag) ** q
 
 
-def abs_on_array(source, ts: np.ndarray) -> np.ndarray:
-    """|S(t)| on an array of points (for the L1 inequalities)."""
+def abs_on_array(source, ts: np.ndarray | Grid) -> np.ndarray:
+    """|S(t)| on an array of points or on a Grid (for the L1 inequalities)."""
     return np.abs(sum_on_array(source, ts))

@@ -201,10 +201,19 @@ def test_criterion_10_sup_chain():
             if len(set(inst.frequencies)) == inst.size:
                 break
         rep = verify.check_sup_chain(inst, [1000.0], config)
-        middle = rep.method["averages"][-1]
-        deviation = rep.method["finite_T_deviation"]
-        left_ok = verify.inequality_holds(max(inst.amplitudes),
-                                          middle + deviation)
+        # Left side at T = 1000, computed term by term:
+        # max_n |a_n + sum_{m != n} a_m sin(T d)/(T d)|, d = phi_m - phi_n.
+        T = 1000.0
+        pairs = list(zip(inst.amplitudes, inst.frequencies))
+        left = 0.0
+        for a_n, p_n in pairs:
+            rest = math.fsum(a_m * math.sin(T * (p_m - p_n)) / (T * (p_m - p_n))
+                             for a_m, p_m in pairs if p_m != p_n)
+            left = max(left, abs(a_n + rest))
+        middle = rep.method["averages"][-1] + rep.method["error_estimates"][-1]
+        left_ok = (rep.method["left_bounds"]
+                   == [pytest.approx(left, rel=1e-12, abs=1e-15)]
+                   and verify.inequality_holds(left, middle))
         if not (rep.passed and left_ok):
             violations += 1
     two_tone = validate_instance([1.0, 1.0], [0.0, 1.0])

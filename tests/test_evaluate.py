@@ -12,11 +12,14 @@ from expmoment.core import (
     dominated_coefficients,
     validate_instance,
 )
+from expmoment import verify
 from expmoment.evaluate import (
+    Grid,
     eval_batch,
     eval_power,
     eval_sum,
     power_on_array,
+    sum_on_array,
     validate_grid,
 )
 
@@ -117,3 +120,46 @@ def test_power_on_array_matches_scalar():
         vec = power_on_array(source, ts, 2)
         for t, v in zip(ts, vec):
             assert v == pytest.approx(eval_power(source, float(t), 2), rel=1e-12)
+
+
+@settings(max_examples=50)
+@given(small_instances,
+       st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8),
+       st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=6),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5))
+def test_sum_on_grid_matches_pointwise(inst, phases, rows, cols):
+    values = [a * cmath.exp(1j * th) for a, th in zip(inst.amplitudes, phases)]
+    cc = dominated_coefficients(values, inst)
+    grid = Grid(np.array(rows), np.array(cols))
+    for source in (inst, cc):
+        vals = sum_on_array(source, grid)
+        assert vals.shape == (len(rows), len(cols))
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                t = r + c
+                bound = 1e-12 * source.amplitude_sum() * max(
+                    1.0, max(abs(t * p) for p in inst.frequencies))
+                assert abs(vals[i, j] - eval_sum(source, t)) <= bound
+
+
+@pytest.mark.parametrize("lo, hi, points", [(-10.0, 10.0, 1003),
+                                             (-100.0, 100.0, 20001),
+                                             (-3.0, 7.0, 10000)])
+def test_grid_sup_points_and_value(monkeypatch, lo, hi, points):
+    inst = validate_instance([1.0, 0.7, 0.2], [-1.5, 0.3, 1.9])
+    seen = []
+    real = verify.abs_on_array
+
+    def recording(source, ts):
+        seen.append(ts.points().ravel() if isinstance(ts, Grid) else ts)
+        return real(source, ts)
+
+    monkeypatch.setattr(verify, "abs_on_array", recording)
+    sup = verify._grid_sup(inst, lo, hi, points)
+    pts = np.sort(np.concatenate(seen))
+    expected = np.linspace(lo, hi, points)
+    assert pts.size == points
+    assert pts[0] == lo
+    assert pts[-1] == pytest.approx(hi, rel=1e-15)
+    np.testing.assert_allclose(pts, expected, rtol=0, atol=1e-12 * (hi - lo))
+    assert sup == pytest.approx(float(real(inst, expected).max()), rel=1e-12)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from expmoment import verify
 from expmoment.core import (
     BadGapError,
     DegenerateCosineError,
@@ -137,7 +139,23 @@ def test_sup_chain_single_term_equality():
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0)
     assert rep.method["averages"][-1] == pytest.approx(1.0, rel=1e-9)
-    assert rep.method["left_side"] == "reported, not checked"
+    assert rep.method["left_bounds"] == [pytest.approx(1.0, rel=1e-15)]
+    assert "<= average + error_estimate" in rep.method["left_side"]
+
+
+def test_sup_chain_left_side_can_fail(monkeypatch):
+    # Halving the average keeps it below the grid sup, so only the left
+    # side (coefficient average <= average + error) can fail.
+    real = verify.windowed_abs_average
+
+    def halved(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, value=0.5 * res.value)
+
+    monkeypatch.setattr(verify, "windowed_abs_average", halved)
+    rep = check_sup_chain(validate_instance([1.0, 0.5], [0.0, 1.0]), [100.0])
+    assert rep.method["averages"][-1] <= rep.rhs
+    assert not rep.passed
 
 
 def test_sup_chain_two_tone_middle_value():
