@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -204,6 +205,8 @@ def _parse_sweep(text: str) -> list[int]:
 
 def cmd_zeta(args) -> int:
     if args.divisor_sum_only:
+        if args.x is not None and not (math.isfinite(args.x) and args.x > 1e3):
+            raise ExpMomentError(f"--x must be a finite number > 1e3, got {args.x}")
         fit = zeta.growth_fit(args.nu, xs=None if args.x is None else
                               np.unique(np.geomspace(1e3, args.x, 15).astype(np.int64)))
         _emit(args, json.dumps({k: v for k, v in fit.items() if k != "xs"}

@@ -41,7 +41,8 @@ class DominationError(ExpMomentError):
 
 
 class OverflowRangeError(ExpMomentError):
-    """(sum a_n)^{2q} would leave the double range; rescale the amplitudes."""
+    """A value would leave its number type: (sum a_n)^{2q} the double range
+    (rescale the amplitudes), or a divisor count the int64 range."""
 
 
 class NotConvergedError(ExpMomentError):

@@ -10,7 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetExceededError, Instance, validate_order
+from .core import (
+    BudgetExceededError,
+    Instance,
+    OverflowRangeError,
+    Window,
+    validate_order,
+)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .verify import (
     THEOREM_CONSTANT,
@@ -18,7 +24,6 @@ from .verify import (
     _raw_window_integral,
     inequality_holds,
 )
-from .core import Window
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 
@@ -59,14 +64,55 @@ def _table_to_csv(path, name: str, arr: np.ndarray) -> None:
             writer.writerow([m, int(arr[m])])
 
 
+def _max_divisor_count(x: int, nu: int) -> int:
+    """max_{m<=x} d_nu(m), exact.
+
+    d_nu depends only on the multiset of prime exponents, so every m has an
+    m' = 2^{k1} 3^{k2} 5^{k3}... <= m with k1 >= k2 >= ... and the same
+    d_nu: the search walks only those.
+    """
+    primes = []  # their product exceeds x, so walk never runs past the end
+    candidate, primorial = 2, 1
+    while primorial <= x:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+            primorial *= candidate
+        candidate += 1
+
+    def walk(m: int, i: int, kmax: int, count: int) -> int:
+        best = count
+        m, k = m * primes[i], 1
+        while k <= kmax and m <= x:
+            best = max(best, walk(m, i + 1, k,
+                                  count * math.comb(k + nu - 1, nu - 1)))
+            m, k = m * primes[i], k + 1
+        return best
+
+    return walk(1, 0, x.bit_length(), 1)
+
+
+def _check_int64(x: int, nu: int) -> None:
+    """Raise when some d_nu(m), m <= x, does not fit in int64."""
+    top = _max_divisor_count(x, nu)
+    if top > np.iinfo(np.int64).max:
+        raise OverflowRangeError(
+            f"max d_{nu}(m) over m <= {x} is {top:.3e}, beyond int64")
+
+
 def _indicator_power(M: int, nu: int, limit: int) -> np.ndarray:
-    """nu-fold Dirichlet convolution of the indicator of [1, M], at m <= limit."""
-    cur = np.zeros(limit + 1, dtype=np.int64)
-    cur[1:M + 1] = 1
-    for _ in range(nu - 1):
-        new = np.zeros(limit + 1, dtype=np.int64)
+    """nu-fold Dirichlet convolution of the indicator of [1, M], at m <= limit.
+
+    The r-fold convolution vanishes above M^r, so round r fills only
+    min(limit, M^r) + 1 entries.
+    """
+    cur = np.ones(min(M, limit) + 1, dtype=np.int64)
+    cur[0] = 0
+    for r in range(2, nu + 1):
+        size = min(limit, M ** r)
+        new = np.zeros(size + 1, dtype=np.int64)
         for d in range(1, M + 1):
-            new[d::d] += cur[1:limit // d + 1]
+            top = min(cur.size - 1, size // d)
+            new[d:d * top + 1:d] += cur[1:top + 1]
         cur = new
     return cur
 
@@ -76,7 +122,8 @@ def power_coefficients(N: int, nu: int, limit: int | None = None,
     """nu-fold Dirichlet convolution of the indicator of [1, N], exact integers.
 
     A table truncated at limit < N^nu is exact for every m <= limit (all
-    factors of a product <= limit are themselves <= limit).
+    factors of a product <= limit are themselves <= limit).  Raises
+    OverflowRangeError when b_m <= d_nu(m) cannot be bounded inside int64.
     """
     validate_order(nu)
     if N < 1:
@@ -87,26 +134,56 @@ def power_coefficients(N: int, nu: int, limit: int | None = None,
     limit = min(limit, full)
     if limit > budget:
         raise BudgetExceededError(f"table of {limit} entries exceeds budget {budget}")
+    _check_int64(limit, nu)
     return CoefficientTable(nu, N, limit, _indicator_power(min(N, limit), nu, limit))
+
+
+def _primes_upto(n: int) -> np.ndarray:
+    """Primes <= n by the sieve of Eratosthenes."""
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    return np.flatnonzero(is_prime)
 
 
 def divisor_table(x: int, nu: int,
                   budget: int = DEFAULT_ENTRY_BUDGET) -> DivisorTable:
-    """Sieve d_nu(m) for m <= x, exact integers."""
+    """Sieve d_nu(m) for m <= x, exact integers.
+
+    d_nu is multiplicative with d_nu(p^k) = C(k + nu - 1, nu - 1).  Each
+    prime p <= sqrt(x) raises the factor of the multiples of p^k from
+    d_nu(p^{k-1}) to d_nu(p^k).  A prime p > sqrt(x) divides m <= x at most
+    once, with cofactor j < sqrt(x), so one pass multiplies d[p j] by nu.
+    Raises OverflowRangeError when max_{m<=x} d_nu(m) exceeds int64.
+    """
     validate_order(nu)
     if x < 1:
         raise BudgetExceededError("x must be >= 1")
     if x > budget:
         raise BudgetExceededError(f"table of {x} entries exceeds budget {budget}")
-    if nu == 2:
-        # Pair divisors (e, m/e) with e <= sqrt(m): loop only to sqrt(x).
-        d = np.zeros(x + 1, dtype=np.int64)
-        for e in range(1, math.isqrt(x) + 1):
-            d[e * e] += 1
-            d[e * e + e::e] += 2
-        return DivisorTable(nu, x, d)
-    # Every factor of m <= x is itself <= x, so d_nu(m) = b_m with N = x.
-    return DivisorTable(nu, x, _indicator_power(x, nu, x))
+    _check_int64(x, nu)
+    d = np.ones(x + 1, dtype=np.int64)
+    d[0] = 0
+    root = math.isqrt(x)
+    primes = _primes_upto(x)
+    small = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:small].tolist():
+        pk, k = p, 1
+        while pk <= x:
+            old, new = math.comb(k + nu - 2, nu - 1), math.comb(k + nu - 1, nu - 1)
+            if old != 1:
+                d[pk::pk] //= old
+            if new != old:
+                d[pk::pk] *= new
+            pk, k = pk * p, k + 1
+    large = primes[small:]
+    if nu > 1:  # for nu = 1 every factor is 1
+        for j in range(1, x // (root + 1) + 1):
+            count = int(np.searchsorted(large, x // j, side="right"))
+            d[j * large[:count]] *= nu
+    return DivisorTable(nu, x, d)
 
 
 def _weighted_square_sum(arr: np.ndarray, upto: int) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -133,6 +134,16 @@ def test_zeta_divisor_sum_single_point_is_invalid():
     # --x 1e3 collapses the 15-point grid on [1e3, x] to a single x.
     assert main(["zeta", "--nu", "2", "--divisor-sum-only",
                  "--x", "1e3"]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("x", ["500", "-5", "nan", "inf"])
+def test_zeta_divisor_sum_x_out_of_range_is_invalid(x, capsys):
+    # geomspace(1e3, x) would run downward below 1e3 or cast nan/inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["zeta", "--nu", "2", "--divisor-sum-only",
+                     "--x", x]) == EXIT_INVALID
+    assert "--x" in capsys.readouterr().err
 
 
 def test_plotdata_two_tone(two_tone, capsys):

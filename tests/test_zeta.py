@@ -1,10 +1,15 @@
+import collections
+import functools
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from expmoment.core import BudgetExceededError
+from expmoment.core import BudgetExceededError, OverflowRangeError
 from expmoment.zeta import (
+    _max_divisor_count,
     coefficient_square_sum,
     corollary_lower_bound,
     divisor_sum,
@@ -28,8 +33,17 @@ def test_power_coefficients_nu_one():
 
 
 def test_tuple_count_total():
-    for n, nu in ((3, 2), (5, 2), (4, 3), (10, 2)):
-        assert power_coefficients(n, nu).total() == n ** nu
+    # limit=None is the full table; N^{nu-1} < limit < N^nu clips the last
+    # convolution round to its support.
+    for n, nu, limit in ((3, 2, None), (5, 2, None), (4, 3, None), (10, 2, None),
+                         (7, 3, 100), (5, 4, 200), (12, 2, 50)):
+        counts = collections.Counter(math.prod(t) for t in itertools.product(
+            range(1, n + 1), repeat=nu))
+        table = power_coefficients(n, nu, limit=limit)
+        if limit is None:
+            assert table.total() == n ** nu
+        assert table.b.tolist() == [0] + [counts[m]
+                                          for m in range(1, table.limit + 1)]
 
 
 def test_budget_exceeded():
@@ -51,16 +65,59 @@ def test_divisor_table_hand_cases():
 
 
 def test_divisor_table_matches_brute_force():
+    @functools.cache
     def d_nu_brute(m, nu):
         if nu == 1:
             return 1
         return sum(d_nu_brute(m // e, nu - 1) for e in range(1, m + 1)
                    if m % e == 0)
 
-    for nu in (1, 2, 3):
-        table = divisor_table(40, nu)
-        for m in range(1, 41):
-            assert int(table.d[m]) == d_nu_brute(m, nu)
+    # x on both sides of the squares 49 and 121: primes above sqrt(x) take
+    # the sieve's large-prime pass.
+    for nu in range(1, 6):
+        for x in (1, 2, 3, 4, 40, 48, 49, 50, 120, 121):
+            table = divisor_table(x, nu)
+            assert table.d.dtype == np.int64
+            assert table.d.tolist() == [0] + [d_nu_brute(m, nu)
+                                              for m in range(1, x + 1)]
+
+
+def _factor_divisor_count(m, nu):
+    """d_nu(m) in Python integers from the factorisation of m."""
+    count, p = 1, 2
+    while p * p <= m:
+        k = 0
+        while m % p == 0:
+            m, k = m // p, k + 1
+        count *= math.comb(k + nu - 1, nu - 1)
+        p += 1
+    return count * (nu if m > 1 else 1)
+
+
+def test_divisor_table_int64_guard():
+    t0 = time.perf_counter()
+    with pytest.raises(OverflowRangeError):
+        divisor_table(720, 3000)
+    with pytest.raises(OverflowRangeError):
+        power_coefficients(720, 3000, limit=720)
+    assert time.perf_counter() - t0 < 1.0
+    table = divisor_table(10 ** 6, 3)
+    assert int(table.d[1:].max()) == _max_divisor_count(10 ** 6, 3)
+    # The largest nu whose table at x = 1000 fits: exact, no wrap.
+    nu = 2
+    while _max_divisor_count(1000, nu + 1) <= np.iinfo(np.int64).max:
+        nu += 1
+    edge = divisor_table(1000, nu)
+    assert edge.d[1:].tolist() == [_factor_divisor_count(m, nu)
+                                   for m in range(1, 1001)]
+    with pytest.raises(OverflowRangeError):
+        divisor_table(1000, nu + 1)
+
+
+def test_max_divisor_count_matches_scan():
+    for x, nu in ((1, 3), (100, 2), (720, 3), (5000, 4)):
+        assert _max_divisor_count(x, nu) == max(
+            _factor_divisor_count(m, nu) for m in range(1, x + 1))
 
 
 def test_divisor_multiplicative_spot_checks():
