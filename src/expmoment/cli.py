@@ -200,6 +200,8 @@ def cmd_verify(args) -> int:
 
 def _parse_sweep(text: str) -> list[int]:
     lo, hi, step = (int(float(v)) for v in text.split(":"))
+    if step < 1 or hi < lo:
+        raise ValueError(f"--sweep needs lo <= hi and step >= 1, got {text!r}")
     return list(range(lo, hi + 1, step))
 
 

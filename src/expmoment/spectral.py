@@ -1,19 +1,18 @@
 """Exact spectral engine: |S(t)|^{2q} expanded into a finite combination
-sum_j w_j e^{i omega_j t} via the multinomial identity.
+sum_j w_j e^{i omega_j t}.
 
-Writing (sum c_n e^{it phi_n})^q = sum_k (q!/prod k_n!) prod c_n^{k_n}
-e^{it k.phi} over compositions k of q, the squared modulus is the double
-sum over composition pairs (k, h) with frequency omega = (k - h).phi and
-coefficient A_k * conj(A_h), A_k = (q!/prod k_n!) prod c_n^{k_n}.
-Windowed integrals, Fejer-weighted integrals, and the long-window limit
-then have closed forms.
+S^q = sum_k A_k e^{i f_k t} is built by folding in one factor of
+S = sum_n c_n e^{it phi_n} at a time: every mode (f, A) of S^{r-1} spawns
+(f + phi_n, A c_n), and modes at the same frequency merge.  The squared
+modulus is then the double sum over mode pairs (j, k) with frequency
+omega = f_j - f_k and coefficient A_j conj(A_k).  Windowed integrals,
+Fejer-weighted integrals, and the long-window limit have closed forms.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .fejer import KernelParams
 
 DEFAULT_TERM_BUDGET = 10 ** 8
 
-# Rows of composition pairs processed per numpy block.
+# Mode pairs processed per numpy block.
 _ROW_CHUNK = 4_000_000
 
 # Bound on 2q max|phi| for exact integer-frequency expansion.
@@ -65,18 +64,6 @@ class SpectralExpansion:
                                  repr(float(c.imag))])
 
 
-@lru_cache(maxsize=64)
-def _compositions(q: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All n-tuples of non-negative integers summing to q, lexicographic."""
-    if n == 1:
-        return ((q,),)
-    out = []
-    for first in range(q, -1, -1):
-        for rest in _compositions(q - first, n - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def composition_count(n: int, q: int) -> int:
     return math.comb(n + q - 1, q)
 
@@ -84,27 +71,6 @@ def composition_count(n: int, q: int) -> int:
 def default_merge_tol(source, q: int) -> float:
     """Separates genuinely distinct float omegas from arithmetic noise."""
     return 1e-9 * max(1.0, q * max(abs(p) for p in source.frequencies))
-
-
-def _amplitude_rows(values, q: int, term_budget: int):
-    """Compositions k of q and the one-sided modes A_k of (sum c_n e^{it phi_n})^q.
-
-    Raises TermBudgetExceededError when the composition pairs of |S|^{2q}
-    would exceed term_budget.
-    """
-    coeffs = np.asarray(values, dtype=np.complex128)
-    n_comps = composition_count(coeffs.size, q)
-    if n_comps * n_comps > term_budget:
-        raise TermBudgetExceededError(
-            f"{n_comps}^2 composition pairs exceed budget {term_budget}")
-    comps = np.asarray(_compositions(q, coeffs.size), dtype=np.int64)
-    fact_q = math.factorial(q)
-    multinoms = np.array(
-        [fact_q // math.prod(math.factorial(int(k)) for k in row)
-         for row in comps], dtype=np.float64)
-    # 0^0 = 1 under numpy power, so zero coefficients are handled exactly.
-    prods = np.prod(coeffs[None, :] ** comps, axis=1)
-    return comps, multinoms * prods
 
 
 def _merge(omegas: np.ndarray, coeffs: np.ndarray,
@@ -128,21 +94,41 @@ def _merge(omegas: np.ndarray, coeffs: np.ndarray,
     return merged_om, merged_co
 
 
+def _modes(values, q: int, phis: np.ndarray, merge_tol: float,
+           term_budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merged one-sided modes (f_k, A_k) of (sum c_n e^{it phi_n})^q.
+
+    Folds in one factor per round, (f, A) <- merge(f + phi, A c).  Integer
+    phis merge at tol 0 and stay exact.  The r-fold sumset never shrinks
+    as r grows, so the budget on the final mode pairs is checked every round.
+    """
+    coeffs = np.asarray(values, dtype=np.complex128)
+    freqs = np.zeros(1, dtype=phis.dtype)
+    amps = np.ones(1, dtype=np.complex128)
+    for _ in range(q):
+        freqs, amps = _merge((freqs[:, None] + phis[None, :]).ravel(),
+                             (amps[:, None] * coeffs[None, :]).ravel(),
+                             merge_tol)
+        if freqs.size ** 2 > term_budget:
+            raise TermBudgetExceededError(
+                f"{freqs.size}^2 mode pairs exceed budget {term_budget}")
+    return freqs, amps
+
+
 def _expand(source, q: int, phis: np.ndarray, merge_tol: float,
             term_budget: int) -> SpectralExpansion:
-    """All composition pairs (k, h) at omega = (k - h).phi, merged by omega.
+    """All mode pairs (j, k) at omega = f_j - f_k, merged by omega.
 
     Integer phis keep every omega an exact integer until the final cast.
     """
     values = coefficient_values(source)
-    comps, amps = _amplitude_rows(values, q, term_budget)
-    freqs = comps @ phis
-    n_comps = freqs.size
+    freqs, amps = _modes(values, q, phis, merge_tol, term_budget)
+    n_modes = freqs.size
 
-    rows_per_chunk = max(1, _ROW_CHUNK // n_comps)
+    rows_per_chunk = max(1, _ROW_CHUNK // n_modes)
     parts_om, parts_co = [], []
-    for start in range(0, n_comps, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n_comps)
+    for start in range(0, n_modes, rows_per_chunk):
+        stop = min(start + rows_per_chunk, n_modes)
         om = (freqs[start:stop, None] - freqs[None, :]).ravel()
         co = (amps[start:stop, None] * np.conj(amps)[None, :]).ravel()
         mo, mc = _merge(om, co, merge_tol)
@@ -157,14 +143,14 @@ def _expand(source, q: int, phis: np.ndarray, merge_tol: float,
     parseval = abs(total - s0_direct) / max(s0_direct, 1e-300)
     return SpectralExpansion(
         omegas.astype(np.float64, copy=False), coeffs, q, source,
-        {"merge_tol": merge_tol, "raw_pairs": n_comps * n_comps,
+        {"merge_tol": merge_tol, "raw_pairs": n_modes * n_modes,
          "parseval_rel_err": parseval, "exact_omegas": phis.dtype.kind == "i"})
 
 
 def expand(source: Instance | ComplexCoefficients, q: int,
            merge_tol: float | None = None,
            term_budget: int = DEFAULT_TERM_BUDGET) -> SpectralExpansion:
-    """Full multi-index-pair expansion of |S(t)|^{2q}, merged by omega."""
+    """Mode-pair expansion of |S(t)|^{2q}, merged by omega."""
     validate_order(q)
     if merge_tol is None:
         merge_tol = default_merge_tol(source, q)
@@ -175,8 +161,8 @@ def expand(source: Instance | ComplexCoefficients, q: int,
 def integer_mode(source: Instance | ComplexCoefficients, q: int) -> bool:
     """Whether every frequency is an integer with 2q max|phi| <= 2^53.
 
-    Then every k.phi and every pair difference is an integer that float64
-    holds exactly and int64 holds without overflow.
+    Then every mode frequency and every pair difference is an integer that
+    float64 holds exactly and int64 holds without overflow.
     """
     phis = source_frequencies(source)
     return (all(float(p).is_integer() for p in phis)

@@ -127,7 +127,7 @@ def power_coefficients(N: int, nu: int, limit: int | None = None,
     """
     validate_order(nu)
     if N < 1:
-        raise BudgetExceededError("N must be >= 1")
+        raise ValueError("N must be >= 1")
     full = N ** nu
     if limit is None:
         limit = full
@@ -160,7 +160,7 @@ def divisor_table(x: int, nu: int,
     """
     validate_order(nu)
     if x < 1:
-        raise BudgetExceededError("x must be >= 1")
+        raise ValueError("x must be >= 1")
     if x > budget:
         raise BudgetExceededError(f"table of {x} entries exceeds budget {budget}")
     _check_int64(x, nu)
@@ -257,7 +257,7 @@ def growth_fit(nu: int = 2, xs=None) -> dict:
 def zeta_instance(N: int) -> Instance:
     """Amplitudes n^{-1/2} and frequencies log n for n = 1..N."""
     if N < 1:
-        raise BudgetExceededError("N must be >= 1")
+        raise ValueError("N must be >= 1")
     amps = tuple(1.0 / math.sqrt(n) for n in range(1, N + 1))
     phis = tuple(math.log(n) for n in range(1, N + 1))
     return Instance(amps, phis)

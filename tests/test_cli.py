@@ -122,6 +122,17 @@ def test_zeta_sweep(capsys):
     assert len(lines) == 4  # header + N in {5, 10, 15}
 
 
+@pytest.mark.parametrize("sweep", ["10:5:1", "5:15:0"])
+def test_zeta_empty_sweep_is_invalid(sweep, capsys):
+    assert main(["zeta", "--nu", "1", "--sweep", sweep,
+                 "--T", "100"]) == EXIT_INVALID
+    assert "--sweep" in capsys.readouterr().err
+
+
+def test_zeta_nonpositive_N_is_invalid(capsys):
+    assert main(["zeta", "--nu", "2", "--N", "0", "--T", "100"]) == EXIT_INVALID
+
+
 def test_zeta_divisor_sum_only(capsys):
     assert main(["zeta", "--nu", "2", "--divisor-sum-only",
                  "--x", "1e5"]) == EXIT_OK

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expmoment.core import (
     NonFiniteError,
@@ -127,6 +127,9 @@ def test_power_on_array_matches_scalar():
        st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8),
        st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=6),
        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5))
+# A subnormal amplitude: the relative bound underflows to 0 while the two
+# sums differ by one subnormal unit.
+@example(validate_instance([2.2250738585e-313], [1.0]), [0.0] * 8, [2.0], [0.5])
 def test_sum_on_grid_matches_pointwise(inst, phases, rows, cols):
     values = [a * cmath.exp(1j * th) for a, th in zip(inst.amplitudes, phases)]
     cc = dominated_coefficients(values, inst)
@@ -138,7 +141,8 @@ def test_sum_on_grid_matches_pointwise(inst, phases, rows, cols):
             for j, c in enumerate(cols):
                 t = r + c
                 bound = 1e-12 * source.amplitude_sum() * max(
-                    1.0, max(abs(t * p) for p in inst.frequencies))
+                    1.0, max(abs(t * p) for p in inst.frequencies)) \
+                    + 4 * inst.size * math.ulp(0.0)
                 assert abs(vals[i, j] - eval_sum(source, t)) <= bound
 
 

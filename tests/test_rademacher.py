@@ -49,6 +49,28 @@ def test_exact_matches_exhaustive_random_complex():
         assert a == pytest.approx(b, rel=1e-12)
 
 
+def test_exact_fourth_moment_closed_form_large_complex():
+    # E|sum eps z|^4 = 2(sum|z|^2)^2 + |sum z^2|^2 - 2 sum|z|^4
+    rng = np.random.default_rng(14)
+    z = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    s2 = float(np.sum(np.abs(z) ** 2))
+    expected = (2 * s2 ** 2 + abs(complex(np.sum(z * z))) ** 2
+                - 2 * float(np.sum(np.abs(z) ** 4)))
+    assert exact_even_moment(z, 2) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [6, 8, 10])
+def test_exact_matches_exhaustive_high_order(q):
+    rng = np.random.default_rng(q)
+    z = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    assert exact_even_moment(z, q) == pytest.approx(exhaustive_moment(z, q),
+                                                    rel=1e-12)
+
+
+def test_exact_returns_python_float():
+    assert type(exact_even_moment([1.0, 2.0 + 1.0j], 2)) is float
+
+
 def test_exhaustive_trivials():
     assert exhaustive_moment([2.0 + 1.0j], 3) == pytest.approx(abs(2 + 1j) ** 6)
     assert exhaustive_moment([0.0, 0.0, 0.0], 2) == 0.0

@@ -13,6 +13,7 @@ from expmoment.core import (
 )
 from expmoment.evaluate import eval_power
 from expmoment.fejer import KernelParams
+from expmoment.quadrature import windowed_average
 from expmoment.spectral import (
     composition_count,
     expand,
@@ -82,6 +83,18 @@ def test_term_budget():
     inst = validate_instance([1.0] * 10, list(range(10)))
     with pytest.raises(TermBudgetExceededError):
         expand(inst, 3, term_budget=100)
+
+
+def test_budget_counts_merged_modes():
+    # 40,920 compositions of q = 4 over 30 terms merge into 117 modes on
+    # the lattice 0..116, so the mode pairs stay far inside the budget.
+    inst = validate_instance([1.0] * 30, list(range(30)))
+    exp = rational_mode_expand(inst, 4)
+    assert exp.metadata["raw_pairs"] == 117 ** 2
+    assert exp.metadata["parseval_rel_err"] == 0.0
+    window = Window(0.3, 2.0)
+    quad = windowed_average(inst, 4, window).value
+    assert integral_exact(exp, window) / 4.0 == pytest.approx(quad, rel=1e-9)
 
 
 def test_integral_exact_two_tone():

@@ -46,6 +46,13 @@ def test_tuple_count_total():
                                           for m in range(1, table.limit + 1)]
 
 
+def test_nonpositive_size_is_invalid():
+    for build in (lambda: power_coefficients(0, 2), lambda: divisor_table(0, 2),
+                  lambda: zeta_instance(0)):
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         power_coefficients(10 ** 3, 3, budget=10 ** 6)
