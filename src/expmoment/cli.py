@@ -199,9 +199,12 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 def _parse_sweep(text: str) -> list[int]:
-    lo, hi, step = (int(float(v)) for v in text.split(":"))
+    try:
+        lo, hi, step = (int(float(v)) for v in text.split(":"))
+    except (ValueError, OverflowError):
+        raise ValueError(f"--sweep needs lo:hi:step, got {text!r}") from None
     if step < 1 or hi < lo:
-        raise ValueError(f"--sweep needs lo <= hi and step >= 1, got {text!r}")
+        raise ValueError(f"--sweep lo:hi:step needs lo <= hi and step >= 1, got {text!r}")
     return list(range(lo, hi + 1, step))
 
 

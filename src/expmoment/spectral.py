@@ -1,12 +1,12 @@
-"""Exact spectral engine: |S(t)|^{2q} expanded into a finite combination
-sum_j w_j e^{i omega_j t}.
+"""Exact spectral engine: |S(t)|^{2q} as a Hermitian form over the modes of S^q.
 
 S^q = sum_k A_k e^{i f_k t} is built by folding in one factor of
 S = sum_n c_n e^{it phi_n} at a time: every mode (f, A) of S^{r-1} spawns
-(f + phi_n, A c_n), and modes at the same frequency merge.  The squared
-modulus is then the double sum over mode pairs (j, k) with frequency
-omega = f_j - f_k and coefficient A_j conj(A_k).  Windowed integrals,
-Fejer-weighted integrals, and the long-window limit have closed forms.
+(f + phi_n, A c_n), and modes at the same frequency merge.  Then
+|S(t)|^{2q} = sum_{j,k} A_j conj(A_k) e^{i (f_j - f_k) t}, and every
+closed form is sum_{j,k} b_j K(f_j - f_k) conj(b_k) with b = A e^{i f shift}:
+only the kernel K changes.  It is 2T sinc for a window, T sinc^2 for the
+Fejer kernel, and the indicator of |omega| <= tol for the long-window limit.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .fejer import KernelParams
 
 DEFAULT_TERM_BUDGET = 10 ** 8
 
-# Mode pairs processed per numpy block.
+# Kernel entries (mode pairs) evaluated per numpy block.
 _ROW_CHUNK = 4_000_000
 
 # Bound on 2q max|phi| for exact integer-frequency expansion.
@@ -40,28 +40,25 @@ _EXACT_INTEGER_LIMIT = 2 ** 53
 
 @dataclass(frozen=True)
 class SpectralExpansion:
-    """Merged term list (omega_j, w_j) with sum_j w_j e^{i omega_j t} = |S(t)|^{2q}."""
+    """Merged one-sided modes of S^q: sum_k amps_k e^{i freqs_k t} = S(t)^q.
 
-    omegas: np.ndarray
-    coeffs: np.ndarray
+    freqs is sorted; it is int64, and exact, when metadata["exact_omegas"].
+    |S(t)|^{2q} is the Hermitian form of the amps at omega = f_j - f_k.
+    """
+
+    freqs: np.ndarray
+    amps: np.ndarray
     q: int
     source: Instance | ComplexCoefficients
     metadata: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def term_count(self) -> int:
-        return int(self.omegas.size)
-
-    def coeff_scale(self) -> float:
-        return float(np.abs(self.coeffs).sum())
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["omega", "coeff_re", "coeff_im"])
-            for w, c in zip(self.omegas, self.coeffs):
-                writer.writerow([repr(float(w)), repr(float(c.real)),
-                                 repr(float(c.imag))])
+            writer.writerow(["freq", "amp_re", "amp_im"])
+            for f, a in zip(self.freqs, self.amps):
+                writer.writerow([repr(float(f)), repr(float(a.real)),
+                                 repr(float(a.imag))])
 
 
 def composition_count(n: int, q: int) -> int:
@@ -117,40 +114,24 @@ def _modes(values, q: int, phis: np.ndarray, merge_tol: float,
 
 def _expand(source, q: int, phis: np.ndarray, merge_tol: float,
             term_budget: int) -> SpectralExpansion:
-    """All mode pairs (j, k) at omega = f_j - f_k, merged by omega.
+    """The merged modes of S^q, with the Parseval residual |S(0)|^{2q}.
 
-    Integer phis keep every omega an exact integer until the final cast.
+    Integer phis keep every mode frequency an exact int64.
     """
     values = coefficient_values(source)
     freqs, amps = _modes(values, q, phis, merge_tol, term_budget)
-    n_modes = freqs.size
-
-    rows_per_chunk = max(1, _ROW_CHUNK // n_modes)
-    parts_om, parts_co = [], []
-    for start in range(0, n_modes, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n_modes)
-        om = (freqs[start:stop, None] - freqs[None, :]).ravel()
-        co = (amps[start:stop, None] * np.conj(amps)[None, :]).ravel()
-        mo, mc = _merge(om, co, merge_tol)
-        parts_om.append(mo)
-        parts_co.append(mc)
-    omegas, coeffs = _merge(np.concatenate(parts_om),
-                            np.concatenate(parts_co), merge_tol)
-
-    s0_direct = float(np.abs(np.sum(np.asarray(values,
-                                               dtype=np.complex128))) ** (2 * q))
-    total = complex(np.sum(coeffs))
-    parseval = abs(total - s0_direct) / max(s0_direct, 1e-300)
+    s0 = abs(complex(np.sum(values))) ** (2 * q)
+    parseval = abs(abs(complex(np.sum(amps))) ** 2 - s0) / max(s0, 1e-300)
     return SpectralExpansion(
-        omegas.astype(np.float64, copy=False), coeffs, q, source,
-        {"merge_tol": merge_tol, "raw_pairs": n_modes * n_modes,
+        freqs, amps, q, source,
+        {"merge_tol": merge_tol, "raw_pairs": freqs.size * freqs.size,
          "parseval_rel_err": parseval, "exact_omegas": phis.dtype.kind == "i"})
 
 
 def expand(source: Instance | ComplexCoefficients, q: int,
            merge_tol: float | None = None,
            term_budget: int = DEFAULT_TERM_BUDGET) -> SpectralExpansion:
-    """Mode-pair expansion of |S(t)|^{2q}, merged by omega."""
+    """Merged modes of S^q, whose Hermitian form is |S(t)|^{2q}."""
     validate_order(q)
     if merge_tol is None:
         merge_tol = default_merge_tol(source, q)
@@ -171,7 +152,7 @@ def integer_mode(source: Instance | ComplexCoefficients, q: int) -> bool:
 
 def rational_mode_expand(source: Instance | ComplexCoefficients, q: int,
                          term_budget: int = DEFAULT_TERM_BUDGET) -> SpectralExpansion:
-    """Expansion with integer frequencies: omegas and merging are exact.
+    """Expansion with integer frequencies: modes, merging and omegas are exact.
 
     Raises NotIntegerError unless integer_mode(source, q) holds.
     """
@@ -184,7 +165,25 @@ def rational_mode_expand(source: Instance | ComplexCoefficients, q: int,
     return _expand(source, q, phis, 0.0, term_budget)
 
 
-def _real_part(total: complex, scale: float, what: str) -> float:
+def _form(expansion: SpectralExpansion, kernel, shift: float, what: str) -> float:
+    """sum_{j,k} b_j K(f_j - f_k) conj(b_k) with b = A e^{i f shift}.
+
+    K is real, even and largest at 0, so the form is real up to rounding;
+    conj(b) enters as two real columns, so K is never cast to complex.  Row
+    blocks hold at most _ROW_CHUNK entries; integer frequencies subtract in
+    int64 before the cast, so omega stays exact.
+    """
+    f = expansion.freqs
+    b = expansion.amps * np.exp(1j * shift * f.astype(np.float64, copy=False))
+    conj_b = np.stack((b.real, -b.imag), axis=1)
+    rows_per_chunk = max(1, _ROW_CHUNK // f.size)
+    total = 0j
+    for start in range(0, f.size, rows_per_chunk):
+        rows = slice(start, start + rows_per_chunk)
+        k = kernel((f[rows, None] - f[None, :]).astype(np.float64, copy=False))
+        v = k @ conj_b
+        total += complex(b[rows] @ (v[:, 0] + 1j * v[:, 1]))
+    scale = float(np.abs(b).sum()) ** 2 * float(kernel(np.zeros(1))[0])
     if abs(total.imag) > 1e-9 * max(scale, abs(total.real)):
         raise ImaginaryResidueError(
             f"{what}: imaginary residue {total.imag!r} vs scale {scale!r}")
@@ -194,54 +193,50 @@ def _real_part(total: complex, scale: float, what: str) -> float:
 def integral_exact(expansion: SpectralExpansion, window: Window) -> float:
     """Closed-form integral of |S|^{2q} over |t - center| <= T (not normalized).
 
-    Each term integrates to coeff * e^{i omega center} * 2 sin(omega T)/omega,
-    with 2T at omega = 0.
+    Each mode pair integrates to A_j conj(A_k) e^{i omega center}
+    2 sin(omega T)/omega at omega = f_j - f_k, with 2T at omega = 0.
     """
-    T, center = window.half_width, window.center
-    weights = 2.0 * T * np.sinc(expansion.omegas * (T / math.pi))
-    phases = np.exp(1j * expansion.omegas * center)
-    total = complex(np.sum(expansion.coeffs * phases * weights))
-    scale = expansion.coeff_scale() * 2.0 * T
-    return _real_part(total, scale, "integral_exact")
+    T = window.half_width
+    return _form(expansion, lambda om: 2.0 * T * np.sinc(om * (T / math.pi)),
+                 window.center, "integral_exact")
 
 
 def limit_moment(expansion: SpectralExpansion,
                  resonance_tol: float | None = None) -> float:
-    """The T -> infinity windowed average: sum of coefficients at |omega| <= tol.
+    """The T -> infinity windowed average: the form over pairs with |omega| <= tol.
 
     For linearly independent frequencies this is the diagonal sum
     sum_k (q!/prod k_n!)^2 prod a_n^{2 k_n}.
     """
-    if resonance_tol is None:
-        resonance_tol = expansion.metadata.get("merge_tol", 0.0)
-    mask = np.abs(expansion.omegas) <= resonance_tol
-    total = complex(np.sum(expansion.coeffs[mask]))
-    return _real_part(total, expansion.coeff_scale(), "limit_moment")
+    tol = (expansion.metadata.get("merge_tol", 0.0) if resonance_tol is None
+           else resonance_tol)
+    return _form(expansion, lambda om: (np.abs(om) <= tol).astype(np.float64),
+                 0.0, "limit_moment")
 
 
 def resonance_gap(expansion: SpectralExpansion,
                   resonance_tol: float | None = None) -> float:
-    """Smallest |omega| above the resonance tolerance (inf if none).
+    """Smallest |omega| = |f_j - f_k| above the resonance tolerance (inf if none).
 
     Quantifies how large T must be before the finite-window average
     approaches limit_moment: the off-resonant error decays like 1/(T gap).
     """
-    if resonance_tol is None:
-        resonance_tol = expansion.metadata.get("merge_tol", 0.0)
-    above = np.abs(expansion.omegas)[np.abs(expansion.omegas) > resonance_tol]
-    return float(above.min()) if above.size else math.inf
+    tol = (expansion.metadata.get("merge_tol", 0.0) if resonance_tol is None
+           else resonance_tol)
+    f = expansion.freqs
+    above = np.searchsorted(f, f + tol, side="right")
+    ok = above < f.size
+    return float((f[above[ok]] - f[ok]).min()) if ok.any() else math.inf
 
 
 def fejer_weighted_exact(expansion: SpectralExpansion,
                          params: KernelParams) -> float:
     """Exact value of integral K_T(t - H)|S(t)|^{2q} dt.
 
-    Each term contributes coeff * e^{i omega H} * Khat_T(omega), with
+    Each mode pair contributes A_j conj(A_k) e^{i omega H} Khat_T(omega), with
     Khat_T(omega) = 4 sin^2(omega T/2)/(T omega^2) = T sinc^2(omega T/(2 pi)).
     """
-    T, H = params.T, params.H
-    weights = T * np.sinc(expansion.omegas * (T / (2 * math.pi))) ** 2
-    phases = np.exp(1j * expansion.omegas * H)
-    total = complex(np.sum(expansion.coeffs * phases * weights))
-    scale = expansion.coeff_scale() * T
-    return _real_part(total, scale, "fejer_weighted_exact")
+    T = params.T
+    return _form(expansion,
+                 lambda om: T * np.sinc(om * (T / (2 * math.pi))) ** 2,
+                 params.H, "fejer_weighted_exact")

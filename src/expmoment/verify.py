@@ -39,7 +39,8 @@ PASS_ABS_SLACK = 1e-12
 # regardless of the inequality itself.
 ENGINE_AGREEMENT_RTOL = 1e-6
 
-# "auto" uses the exact engine when the pair count stays this small.
+# "auto" uses the exact engine when composition pairs, an upper bound on
+# the mode pairs its Hermitian form evaluates, stay this few.
 _AUTO_SPECTRAL_PAIRS = 4_000_000
 
 #: The proof chain gives the windowed lower bound with constant 1/3:

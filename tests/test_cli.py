@@ -122,11 +122,12 @@ def test_zeta_sweep(capsys):
     assert len(lines) == 4  # header + N in {5, 10, 15}
 
 
-@pytest.mark.parametrize("sweep", ["10:5:1", "5:15:0"])
+@pytest.mark.parametrize("sweep", ["10:5:1", "5:15:0", "10:20", "a:b:c", "1:2:3:4"])
 def test_zeta_empty_sweep_is_invalid(sweep, capsys):
     assert main(["zeta", "--nu", "1", "--sweep", sweep,
                  "--T", "100"]) == EXIT_INVALID
-    assert "--sweep" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--sweep" in err and "lo:hi:step" in err
 
 
 def test_zeta_nonpositive_N_is_invalid(capsys):

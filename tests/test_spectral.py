@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from expmoment.core import (
     NotIntegerError,
     TermBudgetExceededError,
     Window,
+    coefficient_values,
     dominated_coefficients,
     validate_instance,
 )
@@ -26,14 +29,27 @@ from expmoment.spectral import (
 from expmoment.verify import random_dominated, random_instance
 
 
+def _two_sided(exp):
+    """Brute-force spectrum of |S|^{2q}: every mode pair (j, k) at
+    omega = f_j - f_k with coefficient A_j conj(A_k), grouped by exactly
+    equal omega (in int64 for integer modes).  Returns sorted omegas and
+    their summed coefficients."""
+    omegas = np.subtract.outer(exp.freqs, exp.freqs).ravel()
+    coeffs = np.multiply.outer(exp.amps, np.conj(exp.amps)).ravel()
+    unique, inverse = np.unique(omegas, return_inverse=True)
+    summed = np.zeros(unique.size, dtype=np.complex128)
+    np.add.at(summed, inverse.ravel(), coeffs)
+    return unique.astype(np.float64), summed
+
+
 def _coeff_at(exp, omega, tol=1e-9):
-    idx = np.flatnonzero(np.abs(exp.omegas - omega) <= tol)
-    return complex(exp.coeffs[idx].sum())
+    omegas, coeffs = _two_sided(exp)
+    return complex(coeffs[np.abs(omegas - omega) <= tol].sum())
 
 
 def test_expand_two_tone_q1():
     exp = expand(validate_instance([1.0, 1.0], [0.0, 1.0]), 1)
-    assert exp.term_count == 3
+    assert _two_sided(exp)[0].size == 3
     assert _coeff_at(exp, -1.0) == pytest.approx(1.0)
     assert _coeff_at(exp, 0.0) == pytest.approx(2.0)
     assert _coeff_at(exp, 1.0) == pytest.approx(1.0)
@@ -41,9 +57,10 @@ def test_expand_two_tone_q1():
 
 def test_expand_single_term_any_q():
     exp = expand(validate_instance([1.0], [4.2]), 3)
-    assert exp.term_count == 1
-    assert exp.omegas[0] == pytest.approx(0.0)
-    assert complex(exp.coeffs[0]) == pytest.approx(1.0)
+    omegas, coeffs = _two_sided(exp)
+    assert omegas.size == 1
+    assert omegas[0] == pytest.approx(0.0)
+    assert complex(coeffs[0]) == pytest.approx(1.0)
 
 
 def test_expand_diagonal_coefficient_q2():
@@ -56,13 +73,13 @@ def test_term_count_bound_and_symmetry():
     for _ in range(10):
         inst = random_instance(rng, max_n=5)
         q = int(rng.integers(1, 4))
-        exp = expand(inst, q)
-        assert exp.term_count <= composition_count(inst.size, q) ** 2
+        omegas, coeffs = _two_sided(expand(inst, q))
+        assert omegas.size <= composition_count(inst.size, q) ** 2
         # real non-negative amplitudes: real coefficients, symmetric spectrum
-        assert np.abs(exp.coeffs.imag).max() <= 1e-9 * np.abs(exp.coeffs).max()
-        order = np.argsort(-exp.omegas)
-        assert np.allclose(exp.omegas, -exp.omegas[order], atol=1e-7)
-        assert np.allclose(exp.coeffs.real, exp.coeffs.real[order], rtol=1e-7)
+        assert np.abs(coeffs.imag).max() <= 1e-9 * np.abs(coeffs).max()
+        order = np.argsort(-omegas)
+        assert np.allclose(omegas, -omegas[order], atol=1e-7)
+        assert np.allclose(coeffs.real, coeffs.real[order], rtol=1e-7)
 
 
 def test_parseval_at_zero():
@@ -73,7 +90,7 @@ def test_parseval_at_zero():
         for source in (inst, cc):
             q = int(rng.integers(1, 4))
             exp = expand(source, q)
-            total = complex(np.sum(exp.coeffs))
+            total = complex(np.sum(_two_sided(exp)[1]))
             direct = eval_power(source, 0.0, q)
             assert total.real == pytest.approx(direct, rel=1e-9, abs=1e-12)
             assert exp.metadata["parseval_rel_err"] <= 1e-9 + 1e-12 / max(direct, 1e-12)
@@ -140,6 +157,56 @@ def test_resonance_gap():
     assert resonance_gap(single) == math.inf
 
 
+def test_explicit_resonance_tol_above_merge_tol():
+    # Pair frequencies 0 (x3), +-0.5, +-1, +-1.5: tol 0.7 also counts +-0.5.
+    exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1.0, 1.5]), 1)
+    assert limit_moment(exp, resonance_tol=0.7) == pytest.approx(5.0, rel=1e-14)
+    assert resonance_gap(exp, resonance_tol=0.7) == pytest.approx(1.0, rel=1e-14)
+    assert limit_moment(exp) == pytest.approx(3.0, rel=1e-14)
+    assert resonance_gap(exp) == pytest.approx(0.5, rel=1e-14)
+
+
+def _oracle(source, q, T, shift, fejer):
+    """The windowed or Fejer integral of |S|^{2q} at 40 digits, summed over
+    all N^q x N^q index tuples (I, J) at omega = sum phi_I - sum phi_J."""
+    with mpmath.workdps(40):
+        c = [mpmath.mpc(v) for v in coefficient_values(source)]
+        phi = [mpmath.mpf(p) for p in source.frequencies]
+        T = mpmath.mpf(T)
+        tuples = [(mpmath.fprod(c[i] for i in idx), mpmath.fsum(phi[i] for i in idx))
+                  for idx in itertools.product(range(len(c)), repeat=q)]
+        total = mpmath.mpc(0)
+        for (ci, fi), (cj, fj) in itertools.product(tuples, tuples):
+            om = fi - fj
+            if fejer:
+                k = T if om == 0 else 4 * mpmath.sin(om * T / 2) ** 2 / (T * om ** 2)
+            else:
+                k = 2 * T if om == 0 else 2 * mpmath.sin(om * T) / om
+            total += ci * mpmath.conj(cj) * mpmath.expj(om * shift) * k
+        assert abs(total.imag) <= mpmath.mpf(10) ** -30 * abs(total.real)
+        return float(total.real)
+
+
+def test_closed_forms_match_mpmath_tuple_sum():
+    rng = np.random.default_rng(17)
+    for case in range(24):
+        n, q = 1 + case % 3, 1 + (case // 3) % 3
+        integer = case >= 12
+        phis = (rng.integers(-4, 5, n) if integer else rng.uniform(-4, 4, n))
+        inst = validate_instance([float(a) for a in rng.uniform(0.2, 1, n)],
+                                 [float(p) for p in phis])
+        source = random_dominated(rng, inst)
+        expanders = [expand] + ([rational_mode_expand] if integer else [])
+        for T, shift in ((0.4, 0.9), (3.0, -1.7), (25.0, 2.3)):
+            win = _oracle(source, q, T, shift, fejer=False)
+            fej = _oracle(source, q, T, shift, fejer=True)
+            for expander in expanders:
+                exp = expander(source, q)
+                assert integral_exact(exp, Window(shift, T)) == pytest.approx(win, rel=1e-12)
+                assert fejer_weighted_exact(exp, KernelParams(T, shift)) \
+                    == pytest.approx(fej, rel=1e-12)
+
+
 def test_fejer_weighted_exact_examples():
     exp = expand(validate_instance([1.0, 1.0], [0.0, 1.0]), 1)
     v = fejer_weighted_exact(exp, KernelParams(2 * math.pi, 0.0))
@@ -153,9 +220,9 @@ def test_fejer_weighted_exact_examples():
 def test_rational_mode_examples():
     inst = validate_instance([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
     exp = rational_mode_expand(inst, 2)
-    assert set(exp.omegas.tolist()) <= set(float(k) for k in range(-4, 5))
+    assert set(_two_sided(exp)[0].tolist()) <= set(float(k) for k in range(-4, 5))
     two = rational_mode_expand(validate_instance([1.0, 1.0], [0.0, 3.0]), 1)
-    assert two.omegas.tolist() == [-3.0, 0.0, 3.0]
+    assert _two_sided(two)[0].tolist() == [-3.0, 0.0, 3.0]
     assert limit_moment(two, resonance_tol=0.0) == pytest.approx(
         _coeff_at(two, 0.0).real)
 
@@ -171,8 +238,9 @@ def test_rational_mode_rejects_out_of_range_frequencies():
         with pytest.raises(NotIntegerError):
             rational_mode_expand(validate_instance([1.0, 1.0], phis), 2)
     edge = rational_mode_expand(validate_instance([1.0, 1.0], [0.0, 2.0 ** 51]), 2)
-    assert edge.omegas.tolist() == [k * 2.0 ** 51 for k in (-2, -1, 0, 1, 2)]
-    assert edge.coeffs.real.tolist() == [1.0, 4.0, 6.0, 4.0, 1.0]
+    omegas, coeffs = _two_sided(edge)
+    assert omegas.tolist() == [k * 2.0 ** 51 for k in (-2, -1, 0, 1, 2)]
+    assert coeffs.real.tolist() == [1.0, 4.0, 6.0, 4.0, 1.0]
 
 
 def test_rational_matches_float_expand():
@@ -194,5 +262,6 @@ def test_csv_dump(tmp_path):
     path = tmp_path / "terms.csv"
     exp.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "omega,coeff_re,coeff_im"
-    assert len(lines) == 1 + exp.term_count
+    assert lines[0] == "freq,amp_re,amp_im"
+    assert len(lines) == 1 + exp.freqs.size
+    assert lines[1:] == ["0.0,1.0,0.0", "1.0,1.0,0.0"]
