@@ -14,7 +14,6 @@ import math
 import sys
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import verify, zeta
 from .core import (
@@ -99,61 +98,15 @@ def cmd_moment(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 
-def _campaign(check: str, count: int, seed: int, config, quick: bool):
-    """Yield reports for a seeded randomized campaign of one check."""
-    rng = Generator(Philox(key=seed))
-    for _ in range(count):
-        q = int(rng.integers(1, 4))
-        if check == "theorem1":
-            inst = verify.random_instance(rng, max_n=8)
-            T = float(rng.uniform(0.01, 100.0))
-            yield verify.check_theorem1(inst, q, T, config)
-        elif check == "lemma":
-            inst = verify.random_instance(rng, max_n=6)
-            coeffs = verify.random_dominated(rng, inst)
-            T = float(rng.uniform(0.1, 50.0))
-            T0 = float(rng.uniform(-1e3, 1e3))
-            yield verify.check_lemma(coeffs, q, T, T0, config)
-        elif check == "eq45":
-            n = int(rng.integers(1, 6))
-            inst = Instance(tuple(map(float, rng.uniform(0, 1, n))),
-                            tuple(float(v) for v in rng.integers(-10, 11, n)))
-            coeffs = verify.random_dominated(rng, inst)
-            T = float(rng.uniform(0.1, 50.0))
-            H = float(rng.uniform(-100.0, 100.0))
-            yield verify.check_eq45(coeffs, q, T, H, config)
-        elif check == "sup-chain":
-            inst = verify.random_instance(rng, max_n=4, freq_range=(-2.0, 2.0),
-                                          min_n=1)
-            half_widths = (10.0, 100.0) if quick else (10.0, 100.0, 1000.0)
-            yield verify.check_sup_chain(inst, half_widths, config)
-        elif check == "ingham":
-            n = int(rng.integers(2, 6))
-            gamma = float(rng.uniform(0.5, 2.0))
-            gaps = rng.uniform(gamma, 2 * gamma, n - 1)
-            phis = np.concatenate(([rng.uniform(-5, 5)], gaps)).cumsum()
-            inst = Instance(tuple(map(float, rng.uniform(0, 1, n))),
-                            tuple(map(float, phis)))
-            yield verify.check_ingham_mordell(inst, gamma, config)
-        elif check == "bohr":
-            n = int(rng.integers(1, 5))
-            phis = np.cumprod(rng.uniform(2.0, 3.0, n)) * rng.uniform(0.5, 2.0)
-            inst = Instance(tuple(map(float, rng.uniform(0, 1, n))),
-                            tuple(map(float, phis)))
-            yield verify.check_bohr_bound(inst, int(rng.integers(1, n + 1)))
-        else:
-            raise ExpMomentError(f"no randomized campaign for {check!r}")
-
-
 def cmd_verify(args) -> int:
+    if args.random < 1:
+        raise ExpMomentError(f"--random must be >= 1, got {args.random}")
     config = _config(args)
-    checks = ["theorem1", "lemma", "eq45", "sup-chain", "ingham", "bohr"] \
-        if args.check == "all" else [args.check]
+    checks = verify.CAMPAIGN_CHECKS if args.check == "all" else [args.check]
     reports = []
     for check in checks:
         if check == "corollary":
-            reports.append(zeta.corollary_lower_bound(args.N, args.nu, args.T or 1e3,
-                                                      config))
+            reports.append(zeta.corollary_lower_bound(args.N, args.nu, args.T, config))
             continue
         if getattr(args, "instance", None) or getattr(args, "inline", None):
             inst = _load_instance(args)
@@ -176,12 +129,9 @@ def cmd_verify(args) -> int:
             elif check == "bohr":
                 reports.append(verify.check_bohr_bound(inst, args.index))
             continue
-        count = args.random if args.random else (5 if args.quick else 25)
-        if args.quick:
-            count = min(count, 5)
-        for rep in _campaign(check, count, args.seed, config, args.quick):
-            rep.method["seed"] = args.seed
-            reports.append(rep)
+        count = min(args.random, 5) if args.quick else args.random
+        reports.extend(rep for _, rep in verify.campaign(check, count, args.seed,
+                                                          config, args.quick))
     for rep in reports:
         _emit(args, rep.to_json_line())
     if args.csv:
@@ -272,10 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("verify", help="run inequality checks")
-    p.add_argument("check", choices=["theorem1", "lemma", "eq45", "sup-chain",
-                                     "ingham", "bohr", "corollary", "all"])
+    p.add_argument("check", choices=[*verify.CAMPAIGN_CHECKS, "corollary", "all"])
     add_instance_opts(p)
-    p.add_argument("--random", type=int, help="number of random cases")
+    p.add_argument("--random", type=int, default=25,
+                   help="number of random cases, >= 1 (--quick caps it at 5)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--T", type=float, default=10.0)

@@ -227,8 +227,3 @@ def coefficient_values(source) -> tuple[complex, ...]:
     if isinstance(source, ComplexCoefficients):
         return source.values
     return tuple(complex(a) for a in source.amplitudes)
-
-
-def source_frequencies(source) -> tuple[float, ...]:
-    """The phi_n of either source type."""
-    return source.frequencies

@@ -12,7 +12,6 @@ from .core import (
     NonFiniteError,
     OverflowRangeError,
     coefficient_values,
-    source_frequencies,
     validate_order,
 )
 
@@ -34,7 +33,7 @@ def eval_sum(source: Instance | ComplexCoefficients, t: float) -> complex:
     if not math.isfinite(t):
         raise NonFiniteError(f"non-finite t {t!r}")
     coeffs = coefficient_values(source)
-    phis = source_frequencies(source)
+    phis = source.frequencies
     re_parts = []
     im_parts = []
     for c, phi in zip(coeffs, phis):
@@ -93,7 +92,7 @@ def sum_on_array(source, ts: np.ndarray | Grid) -> np.ndarray:
     """S(t) on an array of points or on a Grid (shaped like its points())."""
     grid = ts if isinstance(ts, Grid) else Grid(np.ravel(ts), np.zeros(1))
     coeffs = np.asarray(coefficient_values(source), dtype=np.complex128)
-    phis = np.asarray(source_frequencies(source), dtype=np.float64)
+    phis = np.asarray(source.frequencies, dtype=np.float64)
     left = np.exp(1j * np.multiply.outer(grid.rows, phis)) * coeffs
     s = left @ np.exp(1j * np.multiply.outer(phis, grid.cols))
     return s if isinstance(ts, Grid) else s.reshape(np.shape(ts))

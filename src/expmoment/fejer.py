@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import NonFiniteError
 
 
@@ -31,23 +33,17 @@ class KernelParams:
             raise NonFiniteError("kernel half-width T must be > 0")
 
 
-def kernel_value(params: KernelParams, t: float) -> float:
-    """K_T(t - H) = max(0, 1 - |t - H|/T)."""
-    return max(0.0, 1.0 - abs(t - params.H) / params.T)
+def kernel_value(params: KernelParams, t):
+    """K_T(t - H) = max(0, 1 - |t - H|/T), elementwise on arrays."""
+    return np.maximum(0.0, 1.0 - np.abs(t - params.H) / params.T)
 
 
-# Below this |Tu/2| the closed form hits 0/0 noise; the 2-term Taylor branch
-# T*(1 - (Tu/2)^2/3) is accurate to ~1e-24 relative there.
-_SMALL_ARG = 1e-6
+def kernel_hat(params: KernelParams, u):
+    """Fourier transform 4 sin^2(uT/2)/(T u^2) = T sinc^2(uT/(2 pi)), elementwise.
 
-
-def kernel_hat(params: KernelParams, u: float) -> float:
-    """Fourier transform 4 sin^2(uT/2)/(T u^2), continuous at u = 0 (value T)."""
-    x = 0.5 * params.T * u
-    if abs(x) < _SMALL_ARG:
-        return params.T * (1.0 - x * x / 3.0)
-    s = math.sin(x)
-    return 4.0 * s * s / (params.T * u * u)
+    np.sinc is exact at u = 0, where the value is T.
+    """
+    return params.T * np.sinc(u * (params.T / (2 * math.pi))) ** 2
 
 
 def covering_deficit(params: KernelParams, t: float) -> float:

@@ -20,10 +20,11 @@ from .core import (
     NonFiniteError,
     NotConvergedError,
     Window,
+    coefficient_values,
     validate_order,
 )
 from .evaluate import Grid, _check_overflow, abs_on_array, power_on_array
-from .fejer import KernelParams
+from .fejer import KernelParams, kernel_value
 
 # Cap on points per evaluation call: a chunk of rows = _CHUNK / nodes panels
 # holds rows * (N + nodes) complex values, which keeps peak memory bounded.
@@ -105,8 +106,7 @@ def windowed_average(source: Instance | ComplexCoefficients, q: int,
     band = bandlimit(source, q)
     if band == 0.0:
         # All frequencies equal: |S| is constant.
-        val = abs(sum(np.asarray(source.values if isinstance(source, ComplexCoefficients)
-                                 else source.amplitudes, dtype=complex))) ** (2 * q)
+        val = abs(sum(np.asarray(coefficient_values(source), dtype=complex))) ** (2 * q)
         return MomentResult(float(val), "quadrature", 0.0,
                             {"panels": 0, "constant": True})
     lo, hi = window.center - T, window.center + T
@@ -131,8 +131,7 @@ def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,
     band = max(bandlimit(source, q), 1.0 / T)  # kernel varies on scale T
 
     def f(ts: Grid) -> np.ndarray:
-        kern = np.maximum(0.0, 1.0 - np.abs(ts.points() - H) / T)
-        return kern * power_on_array(source, ts, q)
+        return kernel_value(params, ts.points()) * power_on_array(source, ts, q)
 
     scale = source.amplitude_sum() ** (2 * q) * T
     raw, err, panels = _adaptive(f, [(H - T, H), (H, H + T)], band, config, scale)
@@ -151,8 +150,7 @@ def windowed_abs_average(source: Instance | ComplexCoefficients,
     phis = source.frequencies
     band = max(phis) - min(phis)
     if band == 0.0:
-        val = abs(sum(np.asarray(source.values if isinstance(source, ComplexCoefficients)
-                                 else source.amplitudes, dtype=complex)))
+        val = abs(sum(np.asarray(coefficient_values(source), dtype=complex)))
         return MomentResult(float(val), "quadrature", 0.0,
                             {"panels": 0, "constant": True})
     lo, hi = window.center - T, window.center + T

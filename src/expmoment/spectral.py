@@ -24,10 +24,9 @@ from .core import (
     TermBudgetExceededError,
     Window,
     coefficient_values,
-    source_frequencies,
     validate_order,
 )
-from .fejer import KernelParams
+from .fejer import KernelParams, kernel_hat
 
 DEFAULT_TERM_BUDGET = 10 ** 8
 
@@ -135,7 +134,7 @@ def expand(source: Instance | ComplexCoefficients, q: int,
     validate_order(q)
     if merge_tol is None:
         merge_tol = default_merge_tol(source, q)
-    phis = np.asarray(source_frequencies(source), dtype=np.float64)
+    phis = np.asarray(source.frequencies, dtype=np.float64)
     return _expand(source, q, phis, merge_tol, term_budget)
 
 
@@ -145,7 +144,7 @@ def integer_mode(source: Instance | ComplexCoefficients, q: int) -> bool:
     Then every mode frequency and every pair difference is an integer that
     float64 holds exactly and int64 holds without overflow.
     """
-    phis = source_frequencies(source)
+    phis = source.frequencies
     return (all(float(p).is_integer() for p in phis)
             and 2 * q * max(abs(p) for p in phis) <= _EXACT_INTEGER_LIMIT)
 
@@ -160,8 +159,8 @@ def rational_mode_expand(source: Instance | ComplexCoefficients, q: int,
     if not integer_mode(source, q):
         raise NotIntegerError(
             f"integer mode needs integer frequencies with 2q max|phi| <= 2^53, "
-            f"got q = {q} and frequencies {source_frequencies(source)!r}")
-    phis = np.asarray(source_frequencies(source), dtype=np.int64)
+            f"got q = {q} and frequencies {source.frequencies!r}")
+    phis = np.asarray(source.frequencies, dtype=np.int64)
     return _expand(source, q, phis, 0.0, term_budget)
 
 
@@ -236,7 +235,5 @@ def fejer_weighted_exact(expansion: SpectralExpansion,
     Each mode pair contributes A_j conj(A_k) e^{i omega H} Khat_T(omega), with
     Khat_T(omega) = 4 sin^2(omega T/2)/(T omega^2) = T sinc^2(omega T/(2 pi)).
     """
-    T = params.T
-    return _form(expansion,
-                 lambda om: T * np.sinc(om * (T / (2 * math.pi))) ** 2,
-                 params.H, "fejer_weighted_exact")
+    return _form(expansion, lambda om: kernel_hat(params, om), params.H,
+                 "fejer_weighted_exact")

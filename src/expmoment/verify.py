@@ -12,11 +12,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .core import (
     BadGapError,
     ComplexCoefficients,
     DegenerateCosineError,
+    ExpMomentError,
     Instance,
     Window,
 )
@@ -313,16 +315,20 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
 
 
 # --------------------------------------------------------------------------
-# Randomized campaign helpers (fixed seeds make CI failures reproducible).
+# Randomized campaigns (fixed seeds make CI failures reproducible).
 # --------------------------------------------------------------------------
 
-def random_instance(rng, max_n: int = 8, amp_range=(0.0, 1.0),
-                    freq_range=(-10.0, 10.0), min_n: int = 1) -> Instance:
-    n = int(rng.integers(min_n, max_n + 1))
-    amps = rng.uniform(*amp_range, size=n)
-    phis = rng.uniform(*freq_range, size=n)
-    return Instance(tuple(float(a) for a in amps),
-                    tuple(float(p) for p in phis))
+#: The checks with a seeded recipe, in the order ``verify all`` runs them.
+CAMPAIGN_CHECKS = ("theorem1", "lemma", "eq45", "sup-chain", "ingham", "bohr")
+
+
+def _instance(amps, phis) -> Instance:
+    return Instance(tuple(map(float, amps)), tuple(map(float, phis)))
+
+
+def random_instance(rng, max_n: int = 8, freq_range=(-10.0, 10.0)) -> Instance:
+    n = int(rng.integers(1, max_n + 1))
+    return _instance(rng.uniform(0.0, 1.0, n), rng.uniform(*freq_range, n))
 
 
 def random_dominated(rng, instance: Instance) -> ComplexCoefficients:
@@ -331,3 +337,53 @@ def random_dominated(rng, instance: Instance) -> ComplexCoefficients:
     values = tuple(complex(a * r * math.cos(th), a * r * math.sin(th))
                    for a, r, th in zip(instance.amplitudes, radii, phases))
     return ComplexCoefficients(values, instance)
+
+
+def campaign(check: str, count: int, seed: int,
+             config: QuadratureConfig = DEFAULT_CONFIG, quick: bool = False):
+    """Yield (source, report) for ``count`` seeded random cases of one check.
+
+    Every case draws q first, then the instance, then the check's
+    parameters.  The checks are looked up as module globals at each call,
+    so a wrapper installed on ``verify.check_*`` sees every case.  With
+    ``quick`` the sup chain stops at T = 100.
+    """
+    if check not in CAMPAIGN_CHECKS:
+        raise ExpMomentError(f"no randomized campaign for {check!r}")
+    rng = Generator(Philox(key=seed))
+    for _ in range(count):
+        q = int(rng.integers(1, 4))
+        if check == "theorem1":
+            source = random_instance(rng, max_n=8)
+            T = float(rng.uniform(0.01, 100.0))
+            report = check_theorem1(source, q, T, config)
+        elif check == "lemma":
+            source = random_dominated(rng, random_instance(rng, max_n=6))
+            T = float(rng.uniform(0.1, 50.0))
+            T0 = float(rng.uniform(-1e3, 1e3))
+            report = check_lemma(source, q, T, T0, config)
+        elif check == "eq45":
+            n = int(rng.integers(1, 6))
+            inst = _instance(rng.uniform(0, 1, n), rng.integers(-10, 11, n))
+            source = random_dominated(rng, inst)
+            T = float(rng.uniform(0.1, 50.0))
+            H = float(rng.uniform(-100.0, 100.0))
+            report = check_eq45(source, q, T, H, config)
+        elif check == "sup-chain":
+            source = random_instance(rng, max_n=4, freq_range=(-2.0, 2.0))
+            half_widths = (10.0, 100.0) if quick else (10.0, 100.0, 1000.0)
+            report = check_sup_chain(source, half_widths, config)
+        elif check == "ingham":
+            n = int(rng.integers(2, 6))
+            gamma = float(rng.uniform(0.5, 2.0))
+            gaps = rng.uniform(gamma, 2 * gamma, n - 1)
+            phis = np.concatenate(([rng.uniform(-5, 5)], gaps)).cumsum()
+            source = _instance(rng.uniform(0, 1, n), phis)
+            report = check_ingham_mordell(source, gamma, config)
+        else:
+            n = int(rng.integers(1, 5))
+            phis = np.cumprod(rng.uniform(2.0, 3.0, n)) * rng.uniform(0.5, 2.0)
+            source = _instance(rng.uniform(0, 1, n), phis)
+            report = check_bohr_bound(source, int(rng.integers(1, n + 1)))
+        report.method["seed"] = seed
+        yield source, report

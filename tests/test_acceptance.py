@@ -17,12 +17,12 @@ import pytest
 from numpy.random import Generator, Philox
 
 from expmoment import spectral, verify, zeta
-from expmoment.core import Window, dominated_coefficients, validate_instance
+from expmoment.core import Window, validate_instance
 from expmoment.fejer import KernelParams
-from expmoment.quadrature import QuadratureConfig, windowed_average
+from expmoment.quadrature import DEFAULT_CONFIG, QuadratureConfig, windowed_average
 from expmoment.rademacher import exact_even_moment, exhaustive_moment
-from expmoment.spectral import fejer_weighted_exact, integral_exact, limit_moment
-from expmoment.verify import random_dominated, random_instance
+from expmoment.spectral import integral_exact, limit_moment
+from expmoment.verify import random_instance
 
 SEED = 20240717
 
@@ -31,18 +31,16 @@ def _report(num: int, name: str, ok: bool) -> None:
     print(f"criterion {num:2d} [{name}]: {'PASS' if ok else 'FAIL'}")
 
 
+def _violations(check: str, count: int, seed: int,
+                config: QuadratureConfig = DEFAULT_CONFIG) -> int:
+    """Failed reports among the CLI's seeded cases of one check."""
+    return sum(not rep.passed
+               for _, rep in verify.campaign(check, count, seed, config))
+
+
 def test_criterion_1_theorem1_explicit_constant():
     t0 = time.time()
-    rng = Generator(Philox(key=SEED))
-    violations = 0
-    for _ in range(1000):
-        inst = random_instance(rng, max_n=8, amp_range=(0.0, 1.0),
-                               freq_range=(-10.0, 10.0))
-        q = int(rng.integers(1, 4))
-        T = float(rng.uniform(0.01, 100.0))
-        rep = verify.check_theorem1(inst, q, T)
-        if not rep.passed:
-            violations += 1
+    violations = _violations("theorem1", 1000, SEED)
     elapsed = time.time() - t0
     ok = violations == 0 and elapsed < 300
     _report(1, "theorem1 constant 1/3, 1000 instances", ok)
@@ -51,38 +49,14 @@ def test_criterion_1_theorem1_explicit_constant():
 
 
 def test_criterion_2_lemma_shifted_window():
-    rng = Generator(Philox(key=SEED + 1))
-    violations = 0
-    for _ in range(500):
-        inst = random_instance(rng, max_n=6)
-        coeffs = random_dominated(rng, inst)
-        q = int(rng.integers(1, 4))
-        T = float(rng.uniform(0.1, 50.0))
-        T0 = float(rng.uniform(-1e3, 1e3))
-        if not verify.check_lemma(coeffs, q, T, T0).passed:
-            violations += 1
+    violations = _violations("lemma", 500, SEED + 1)
     _report(2, "lemma factor 3, 500 shifted windows", violations == 0)
     assert violations == 0
 
 
 def test_criterion_3_eq45_rational_mode():
-    rng = Generator(Philox(key=SEED + 2))
-    violations = 0
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        inst = validate_instance(
-            [float(a) for a in rng.uniform(0.0, 1.0, n)],
-            [float(v) for v in rng.integers(-10, 11, n)])
-        coeffs = random_dominated(rng, inst)
-        q = int(rng.integers(1, 4))
-        T = float(rng.uniform(0.1, 50.0))
-        H = float(rng.uniform(-100.0, 100.0))
-        lhs = fejer_weighted_exact(spectral.rational_mode_expand(coeffs, q),
-                                   KernelParams(T, H))
-        rhs = fejer_weighted_exact(spectral.rational_mode_expand(inst, q),
-                                   KernelParams(T, 0.0))
-        if not verify.inequality_holds(lhs, rhs):
-            violations += 1
+    violations = sum(not (rep.passed and rep.method["rational_mode"])
+                     for _, rep in verify.campaign("eq45", 200, SEED + 2))
     _report(3, "kernel-weighted domination, exact resonances", violations == 0)
     assert violations == 0
 
@@ -173,19 +147,8 @@ def test_criterion_8_divisor_sum_growth_slope():
 
 
 def test_criterion_9_ingham_mordell():
-    rng = Generator(Philox(key=SEED + 5))
-    violations = 0
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        gamma = float(rng.uniform(0.5, 2.0))
-        gaps = rng.uniform(gamma, 2 * gamma, n - 1)
-        phis = np.concatenate(([rng.uniform(-5.0, 5.0)], gaps)).cumsum()
-        inst = validate_instance([float(a) for a in rng.uniform(0.0, 1.0, n)],
-                                 [float(p) for p in phis])
-        rep = verify.check_ingham_mordell(
-            inst, gamma, QuadratureConfig(rel_tol=1e-7))
-        if not rep.passed:
-            violations += 1
+    violations = _violations("ingham", 100, SEED + 5,
+                             QuadratureConfig(rel_tol=1e-7))
     hand = verify.check_ingham_mordell(
         validate_instance([1.0, 1.0], [0.0, 1.0]), 1.0)
     hand_ok = hand.rhs == pytest.approx(8 / math.pi, rel=1e-8)
@@ -196,28 +159,23 @@ def test_criterion_9_ingham_mordell():
 
 
 def test_criterion_10_sup_chain():
-    rng = Generator(Philox(key=SEED + 6))
     config = QuadratureConfig(rel_tol=1e-6)
     violations = 0
-    for _ in range(100):
-        while True:
-            inst = random_instance(rng, max_n=4, freq_range=(-2.0, 2.0))
-            if len(set(inst.frequencies)) == inst.size:
-                break
-        rep = verify.check_sup_chain(inst, [1000.0], config)
-        # Left side at T = 1000, computed term by term:
+    for inst, rep in verify.campaign("sup-chain", 100, SEED + 6, config):
+        # Left side at every T, computed term by term:
         # max_n |a_n + sum_{m != n} a_m sin(T d)/(T d)|, d = phi_m - phi_n.
-        T = 1000.0
         pairs = list(zip(inst.amplitudes, inst.frequencies))
-        left = 0.0
-        for a_n, p_n in pairs:
-            rest = math.fsum(a_m * math.sin(T * (p_m - p_n)) / (T * (p_m - p_n))
-                             for a_m, p_m in pairs if p_m != p_n)
-            left = max(left, abs(a_n + rest))
-        middle = rep.method["averages"][-1] + rep.method["error_estimates"][-1]
-        left_ok = (rep.method["left_bounds"]
-                   == [pytest.approx(left, rel=1e-12, abs=1e-15)]
-                   and verify.inequality_holds(left, middle))
+        lefts = [max(abs(a_n + math.fsum(
+                         a_m * math.sin(T * (p_m - p_n)) / (T * (p_m - p_n))
+                         for a_m, p_m in pairs if p_m != p_n))
+                     for a_n, p_n in pairs)
+                 for T in rep.method["half_widths"]]
+        middles = [avg + err for avg, err in zip(rep.method["averages"],
+                                                 rep.method["error_estimates"])]
+        left_ok = (rep.method["half_widths"] == [10.0, 100.0, 1000.0]
+                   and rep.method["left_bounds"]
+                   == pytest.approx(lefts, rel=1e-12, abs=1e-15)
+                   and all(map(verify.inequality_holds, lefts, middles)))
         if not (rep.passed and left_ok):
             violations += 1
     two_tone = validate_instance([1.0, 1.0], [0.0, 1.0])

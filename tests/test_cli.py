@@ -107,6 +107,18 @@ def test_verify_all_quick(capsys, tmp_path):
     assert header == "check,lhs,rhs,margin,passed"
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["all", "--random", "0"], "--random"),
+    (["theorem1", "--random", "-3"], "--random"),
+    (["corollary", "--T", "0"], "half_width"),
+])
+def test_verify_out_of_range_is_invalid(argv, named, capsys):
+    assert main(["verify", *argv]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+
+
 def test_verify_corollary(capsys):
     assert main(["verify", "corollary", "--N", "5", "--nu", "1",
                  "--T", "100"]) == EXIT_OK

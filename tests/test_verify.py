@@ -222,6 +222,23 @@ def test_bohr_rejects_nonpositive_frequencies():
         check_bohr_bound(validate_instance([1.0, 1.0], [0.0, 1.0]), 1)
 
 
+@pytest.mark.parametrize("check, draws", [
+    ("theorem1", {"N": 7, "q": 1, "T": 39.707584532152865}),
+    ("lemma", {"N": 5, "q": 1, "T": 33.3068236037573, "T0": -46.27378899424866}),
+    ("eq45", {"N": 5, "q": 1, "T": 35.6583028490246, "H": 93.43010601604672}),
+    ("sup-chain", {"N": 4, "half_widths": [10.0, 100.0, 1000.0]}),
+    ("ingham", {"N": 5, "T": 4.00780604089798}),
+    ("bohr", {"N": 4, "index": 1}),
+])
+def test_campaign_first_draws_are_pinned(check, draws):
+    """`verify all --random 25 --seed 42` is a benchmark workload: a change
+    to any recipe's draw order must show up here, not only in its timings."""
+    (_, rep), = verify.campaign(check, 1, 42)
+    got = {"N": rep.instance_summary["N"], **rep.method}
+    assert {key: got[key] for key in draws} == draws
+    assert rep.method["seed"] == 42
+
+
 def test_report_json_line_schema():
     rep = check_theorem1(validate_instance([1.0], [0.0]), 1, 1.0)
     rec = json.loads(rep.to_json_line())
