@@ -119,6 +119,16 @@ def test_verify_out_of_range_is_invalid(argv, named, capsys):
     assert named in err
 
 
+@pytest.mark.parametrize("rel_tol", ["nan", "inf"])
+def test_moment_non_finite_rel_tol_is_invalid(rel_tol, capsys):
+    assert main(["moment", "--inline", "a=1,1,0.9;phi=0,1,2.3", "--q", "1",
+                 "--T", "10", "--engine", "quadrature",
+                 "--rel-tol", rel_tol]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "rel_tol" in err
+
+
 def test_verify_corollary(capsys):
     assert main(["verify", "corollary", "--N", "5", "--nu", "1",
                  "--T", "100"]) == EXIT_OK

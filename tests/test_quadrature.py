@@ -1,10 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from expmoment import spectral
-from expmoment.core import Window, dominated_coefficients, validate_instance
+from expmoment import quadrature, spectral
+from expmoment.core import (
+    NonFiniteError,
+    NotConvergedError,
+    Window,
+    dominated_coefficients,
+    validate_instance,
+)
 from expmoment.fejer import KernelParams
 from expmoment.quadrature import (
     QuadratureConfig,
@@ -126,7 +133,42 @@ def test_abs_average_two_tone():
 
 
 def test_config_validation():
-    with pytest.raises(Exception):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(Exception):
-        QuadratureConfig(gauss_order=1)
+    for kwargs in ({"rel_tol": 0.0}, {"gauss_order": 1}, {"rel_tol": math.nan},
+                   {"rel_tol": math.inf}, {"gauss_order": 16.5},
+                   {"max_panels": 1e6}, {"max_panels": 0}):
+        with pytest.raises(NonFiniteError):
+            QuadratureConfig(**kwargs)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.999, 1.0])
+@pytest.mark.parametrize("k", [1, 318])
+def test_abs_average_kinked_closed_form(r, k, monkeypatch):
+    # |1 + r e^{it}| has period 2 pi, so over k whole periods its mean is
+    # (1/2 pi) integral_0^{2 pi} |1 + r e^{it}| dt = (2(1+r)/pi) E(4r/(1+r)^2);
+    # at r -> 1 the zeros of S put kinks into |S|.
+    points, original = [], quadrature.abs_on_array
+
+    def counted(source, ts):
+        points.append(ts.size)
+        return original(source, ts)
+
+    monkeypatch.setattr(quadrature, "abs_on_array", counted)
+    inst = validate_instance([1.0, r], [0.0, 1.0])
+    res = windowed_abs_average(inst, Window(0.3, k * math.pi))
+    exact = float(2 * (1 + r) / mpmath.pi * mpmath.ellipe(4 * r / (1 + r) ** 2))
+    assert res.value == pytest.approx(exact, rel=QuadratureConfig().rel_tol)
+    if (r, k) == (0.999, 318):
+        # Only the panels next to the near-zeros of S need refining.
+        assert sum(points) <= 1_000_000
+
+
+def test_not_converged_carries_the_average():
+    inst = validate_instance([1.0, 0.5], [0.0, 1.0])
+    window = Window(2.0, 10.0)
+    tiny = QuadratureConfig(max_panels=10)  # 7 base panels, no room to halve
+    for integrate in (lambda cfg: windowed_average(inst, 1, window, cfg),
+                      lambda cfg: windowed_abs_average(inst, window, cfg)):
+        converged = integrate(QuadratureConfig())
+        with pytest.raises(NotConvergedError) as info:
+            integrate(tiny)
+        assert info.value.value == pytest.approx(converged.value, rel=1e-6)
