@@ -26,6 +26,7 @@ from .verify import (
 )
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
+_BLOCK = 1 << 18  # output entries per block of the b_m convolution
 
 
 @dataclass(frozen=True)
@@ -91,28 +92,32 @@ def _max_divisor_count(x: int, nu: int) -> int:
     return walk(1, 0, x.bit_length(), 1)
 
 
-def _check_int64(x: int, nu: int) -> None:
-    """Raise when some d_nu(m), m <= x, does not fit in int64."""
+def _check_int64(x: int, nu: int) -> int:
+    """max_{m<=x} d_nu(m); raise when it does not fit in int64."""
     top = _max_divisor_count(x, nu)
     if top > np.iinfo(np.int64).max:
         raise OverflowRangeError(
             f"max d_{nu}(m) over m <= {x} is {top:.3e}, beyond int64")
+    return top
 
 
 def _indicator_power(M: int, nu: int, limit: int) -> np.ndarray:
     """nu-fold Dirichlet convolution of the indicator of [1, M], at m <= limit.
 
     The r-fold convolution vanishes above M^r, so round r fills only
-    min(limit, M^r) + 1 entries.
+    min(limit, M^r) + 1 entries, _BLOCK of them at a time so that the
+    strided writes new[m d] += cur[m] stay in cache.
     """
     cur = np.ones(min(M, limit) + 1, dtype=np.int64)
     cur[0] = 0
     for r in range(2, nu + 1):
-        size = min(limit, M ** r)
+        size, top = min(limit, M ** r), cur.size - 1
         new = np.zeros(size + 1, dtype=np.int64)
-        for d in range(1, M + 1):
-            top = min(cur.size - 1, size // d)
-            new[d:d * top + 1:d] += cur[1:top + 1]
+        for lo in range(0, size + 1, _BLOCK):
+            hi = min(lo + _BLOCK, size + 1)
+            for d in range(max(1, -(-lo // top)), min(M, hi - 1) + 1):
+                m0, m1 = max(1, -(-lo // d)), min(top, (hi - 1) // d)
+                new[m0 * d:m1 * d + 1:d] += cur[m0:m1 + 1]
         cur = new
     return cur
 
@@ -128,10 +133,10 @@ def power_coefficients(N: int, nu: int, limit: int | None = None,
     validate_order(nu)
     if N < 1:
         raise ValueError("N must be >= 1")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     full = N ** nu
-    if limit is None:
-        limit = full
-    limit = min(limit, full)
+    limit = full if limit is None else min(limit, full)
     if limit > budget:
         raise BudgetExceededError(f"table of {limit} entries exceeds budget {budget}")
     _check_int64(limit, nu)
@@ -139,13 +144,15 @@ def power_coefficients(N: int, nu: int, limit: int | None = None,
 
 
 def _primes_upto(n: int) -> np.ndarray:
-    """Primes <= n by the sieve of Eratosthenes."""
-    is_prime = np.ones(n + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
-    return np.flatnonzero(is_prime)
+    """Primes <= n by the sieve of Eratosthenes over the odd numbers."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2 i + 1
+    odd[0] = False
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            odd[2 * i * (i + 1)::2 * i + 1] = False  # from (2 i + 1)^2
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
 
 
 def divisor_table(x: int, nu: int,
@@ -156,15 +163,19 @@ def divisor_table(x: int, nu: int,
     prime p <= sqrt(x) raises the factor of the multiples of p^k from
     d_nu(p^{k-1}) to d_nu(p^k).  A prime p > sqrt(x) divides m <= x at most
     once, with cofactor j < sqrt(x), so one pass multiplies d[p j] by nu.
-    Raises OverflowRangeError when max_{m<=x} d_nu(m) exceeds int64.
+    Raises OverflowRangeError when max_{m<=x} d_nu(m) exceeds int64, and
+    sieves in the narrowest of int16 / int32 / int64 that holds that max:
+    every intermediate d[m] is d_nu of a divisor of m, since the divide is
+    exact, so it never exceeds the max.  The table is returned as int64.
     """
     validate_order(nu)
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > budget:
         raise BudgetExceededError(f"table of {x} entries exceeds budget {budget}")
-    _check_int64(x, nu)
-    d = np.ones(x + 1, dtype=np.int64)
+    top = _check_int64(x, nu)
+    d = np.ones(x + 1, dtype=next(t for t in (np.int16, np.int32, np.int64)
+                                  if top <= np.iinfo(t).max))
     d[0] = 0
     root = math.isqrt(x)
     primes = _primes_upto(x)
@@ -183,26 +194,41 @@ def divisor_table(x: int, nu: int,
         for j in range(1, x // (root + 1) + 1):
             count = int(np.searchsorted(large, x // j, side="right"))
             d[j * large[:count]] *= nu
-    return DivisorTable(nu, x, d)
+    return DivisorTable(nu, x, d.astype(np.int64))
+
+
+def _weighted_square_sums(arr: np.ndarray, uptos) -> list[float]:
+    """sum_{1<=m<=upto} arr[m]^2 / m for each upto, in one pass over arr:
+    the fsum of the whole 2^16-entry chunk partials below upto and of the
+    sum of its own partial chunk, the same floats as for upto alone."""
+    chunk, end = 1 << 16, max(uptos, default=0) + 1
+    whole, tails = [], {}
+    for start in range(1, end, chunk):
+        m = np.arange(start, min(start + chunk, end), dtype=np.float64)
+        v = arr[start:start + m.size].astype(np.float64)
+        w = v * v / m
+        for upto in uptos:
+            if start <= upto < start + chunk - 1:
+                tails[upto] = float(np.sum(w[:upto + 1 - start]))
+        if m.size == chunk:
+            whole.append(float(np.sum(w)))
+    return [math.fsum(whole[:upto // chunk] + [tails.get(upto, 0.0)])
+            for upto in uptos]
 
 
 def _weighted_square_sum(arr: np.ndarray, upto: int) -> float:
-    """sum_{1<=m<=upto} arr[m]^2 / m with chunked compensated accumulation."""
-    chunk = 1 << 16
-    partials = []
-    for start in range(1, upto + 1, chunk):
-        stop = min(start + chunk, upto + 1)
-        m = np.arange(start, stop, dtype=np.float64)
-        v = arr[start:stop].astype(np.float64)
-        partials.append(float(np.sum(v * v / m)))
-    return math.fsum(partials)
+    if upto < 0:
+        raise ValueError(f"square sum needs an upper limit >= 0, got {upto}")
+    return _weighted_square_sums(arr, [upto])[0]
 
 
 def divisor_sum(x: int, nu: int, table: DivisorTable | None = None) -> float:
     """sum_{m<=x} d_nu(m)^2 / m, which grows like C_nu log^{nu^2} x."""
     if table is None:
         table = divisor_table(x, nu)
-    if table.nu != nu or table.x < x:
+    if table.nu != nu:
+        raise ValueError(f"divisor table is for nu = {table.nu}, not {nu}")
+    if table.x < x:
         raise BudgetExceededError("divisor table does not cover the request")
     return _weighted_square_sum(table.d, x)
 
@@ -241,8 +267,7 @@ def growth_fit(nu: int = 2, xs=None) -> dict:
         raise ValueError(f"growth fit needs at least 3 distinct x, got {distinct}")
     if min(xs) < 2:
         raise ValueError(f"growth fit needs every x >= 2, got {min(xs)}")
-    table = divisor_table(max(xs), nu)
-    sums = [divisor_sum(x, nu, table) for x in xs]
+    sums = _weighted_square_sums(divisor_table(max(xs), nu).d, xs)
     L = np.log(np.asarray(xs, dtype=np.float64))
     ly = np.log(np.asarray(sums))
     design = np.column_stack([np.log(L), np.ones_like(L), 1.0 / L])

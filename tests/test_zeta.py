@@ -7,9 +7,11 @@ import time
 import numpy as np
 import pytest
 
+from expmoment import zeta
 from expmoment.core import BudgetExceededError, OverflowRangeError
 from expmoment.zeta import (
     _max_divisor_count,
+    _weighted_square_sums,
     coefficient_square_sum,
     corollary_lower_bound,
     divisor_sum,
@@ -44,6 +46,39 @@ def test_tuple_count_total():
             assert table.total() == n ** nu
         assert table.b.tolist() == [0] + [counts[m]
                                           for m in range(1, table.limit + 1)]
+
+
+def _naive_indicator_power(n, nu, limit):
+    """The whole-table nu-fold Dirichlet convolution of the indicator of [1, n]."""
+    size = n ** nu if limit is None else min(limit, n ** nu)
+    cur = np.zeros(size + 1, dtype=np.int64)
+    cur[1:min(n, size) + 1] = 1
+    for _ in range(nu - 1):
+        new = np.zeros(size + 1, dtype=np.int64)
+        for d in range(1, min(n, size) + 1):
+            new[d::d] += cur[1:size // d + 1]
+        cur = new
+    return cur
+
+
+def test_blocked_convolution_matches_whole_table(monkeypatch):
+    # The default block holds 2^18 entries, so 70^3 = 343,000 spans two.
+    table = power_coefficients(70, 3)
+    assert table.b.size > zeta._BLOCK
+    assert table.b.dtype == np.int64
+    assert np.array_equal(table.b, _naive_indicator_power(70, 3, None))
+    monkeypatch.setattr(zeta, "_BLOCK", 64)
+    for n, nu, limit in ((7, 3, 100), (5, 4, 200), (12, 2, 50), (30, 3, None),
+                         (20, 4, None)):
+        table = power_coefficients(n, nu, limit=limit)
+        assert table.b.dtype == np.int64
+        assert np.array_equal(table.b, _naive_indicator_power(n, nu, limit))
+
+
+def test_nonpositive_limit_is_invalid():
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match="limit"):
+            power_coefficients(5, 2, limit=limit)
 
 
 def test_nonpositive_size_is_invalid():
@@ -121,6 +156,24 @@ def test_divisor_table_int64_guard():
         divisor_table(1000, nu + 1)
 
 
+def test_divisor_table_working_dtypes():
+    # The sieve works in int16, int32 or int64 by max d_nu(m); the sweep
+    # crosses both boundaries (d_10(720) = 393,250 > 2^15) and the table is
+    # int64 at every nu.
+    tops = []
+    nu = 1
+    while _max_divisor_count(1000, nu) <= np.iinfo(np.int64).max:
+        table = divisor_table(1000, nu)
+        assert table.d.dtype == np.int64
+        assert table.d[1:].tolist() == [_factor_divisor_count(m, nu)
+                                        for m in range(1, 1001)]
+        tops.append(_max_divisor_count(1000, nu))
+        nu += 1
+    assert _factor_divisor_count(720, 10) == 393250
+    assert min(tops) <= np.iinfo(np.int16).max < max(tops)
+    assert any(np.iinfo(np.int32).max < top for top in tops)
+
+
 def test_max_divisor_count_matches_scan():
     for x, nu in ((1, 3), (100, 2), (720, 3), (5000, 4)):
         assert _max_divisor_count(x, nu) == max(
@@ -151,6 +204,35 @@ def test_divisor_sum_nondecreasing():
     table = divisor_table(500, 2)
     vals = [divisor_sum(x, 2, table) for x in range(1, 501, 25)]
     assert all(lo <= hi for lo, hi in zip(vals, vals[1:]))
+
+
+def test_square_sum_argument_errors():
+    with pytest.raises(ValueError):
+        divisor_sum(100, 3, divisor_table(100, 2))
+    with pytest.raises(BudgetExceededError):
+        divisor_sum(200, 2, divisor_table(100, 2))
+    with pytest.raises(ValueError):
+        divisor_sum(-5, 2, divisor_table(100, 2))
+    assert divisor_sum(0, 2, divisor_table(100, 2)) == 0.0
+    table = power_coefficients(10, 2)
+    with pytest.raises(ValueError):
+        coefficient_square_sum(table, -4)
+    assert coefficient_square_sum(table, 0) == 0.0
+    assert _weighted_square_sums(table.b, [0, 3, 0]) == [
+        0.0, coefficient_square_sum(table, 3), 0.0]
+
+
+def test_one_pass_sums_equal_single_sums():
+    # Unsorted, one duplicate, and on both sides of the 2^16 chunk edges:
+    # each sum is the same floats as its own divisor_sum, bit for bit.
+    xs = [131073, 65536, 1000, 65537, 131072, 1000]
+    fit = growth_fit(2, xs)
+    assert fit["sums"] == [divisor_sum(x, 2) for x in xs]
+    # The values before the one-pass helper, to the last bit.
+    assert fit["sums"] == [1236.1731776193803, 1016.7511722291158,
+                           237.30033124448084, 1016.7512332633407,
+                           1236.1730555499992, 237.30033124448084]
+    assert coefficient_square_sum(power_coefficients(40, 2)) == 77.25176411351093
 
 
 def test_coefficient_chain_inequality():
