@@ -86,10 +86,12 @@ def cmd_moment(args) -> int:
     if engine != "spectral":
         results["quadrature"] = meta.get("quadrature", raw) / (2 * args.T)
         results["error_estimate"] = meta["error_estimate"] / (2 * args.T)
+        results["error_kind"] = meta["error_kind"]
     if engine == "both":
         results["disagreement"] = meta["disagreement"]
     rec = {"q": args.q, "T": args.T, "center": args.center, "engine": engine}
-    rec.update({k: _fmt(v) for k, v in results.items()})
+    rec.update({k: v if isinstance(v, str) else _fmt(v)
+                for k, v in results.items()})
     _emit(args, json.dumps(rec))
     return EXIT_OK if meta.get("engines_agree", True) else EXIT_VIOLATED
 

@@ -114,6 +114,7 @@ def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
         scale = 2 * kernel.half_width
     v_q = res.value * scale
     meta["error_estimate"] = res.error_estimate * scale
+    meta["error_kind"] = res.metadata["error_kind"]
     if engine == "quadrature":
         return v_q, meta
     dis = abs(value - v_q) / max(abs(value), abs(v_q), 1e-300)

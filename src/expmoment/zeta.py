@@ -65,6 +65,14 @@ def _table_to_csv(path, name: str, arr: np.ndarray) -> None:
             writer.writerow([m, int(arr[m])])
 
 
+def _as_int(name: str, value) -> int:
+    """An int, a numpy integer or an integral float, as an int."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _max_divisor_count(x: int, nu: int) -> int:
     """max_{m<=x} d_nu(m), exact.
 
@@ -131,10 +139,13 @@ def power_coefficients(N: int, nu: int, limit: int | None = None,
     OverflowRangeError when b_m <= d_nu(m) cannot be bounded inside int64.
     """
     validate_order(nu)
+    N = _as_int("N", N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit is not None:
+        limit = _as_int("limit", limit)
+        if limit < 1:
+            raise ValueError(f"limit must be >= 1, got {limit}")
     full = N ** nu
     limit = full if limit is None else min(limit, full)
     if limit > budget:
@@ -169,6 +180,7 @@ def divisor_table(x: int, nu: int,
     exact, so it never exceeds the max.  The table is returned as int64.
     """
     validate_order(nu)
+    x = _as_int("x", x)
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > budget:
@@ -257,11 +269,12 @@ def growth_fit(nu: int = 2, xs=None) -> dict:
     Convergence stays slow for larger nu: nu = 3 up to x = 1e6 gives
     6.96 against 9 (straight line 5.49).
 
-    Raises ValueError for fewer than 3 distinct xs or any x < 2.
+    Raises ValueError for fewer than 3 distinct xs, any x < 2, or an x that
+    is not an integer (an integral float is accepted).
     """
     if xs is None:
         xs = np.unique(np.geomspace(1e3, 1e7, 15).astype(np.int64))
-    xs = [int(x) for x in xs]
+    xs = [_as_int("x", x) for x in xs]
     distinct = len(set(xs))
     if distinct < 3:
         raise ValueError(f"growth fit needs at least 3 distinct x, got {distinct}")

@@ -43,6 +43,9 @@ def test_moment_both_engines_reports_disagreement(two_tone, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert "disagreement" in rec
     assert float(rec["disagreement"]) < 1e-9
+    assert list(rec)[list(rec).index("error_estimate") + 1] == "error_kind"
+    assert rec["error_kind"] == "truncation_bound"
+    assert 0 < float(rec["error_estimate"]) <= 1e-9 * float(rec["quadrature"])
 
 
 def test_moment_both_engines_disagreeing_is_violated(two_tone, monkeypatch,
@@ -54,7 +57,7 @@ def test_moment_both_engines_disagreeing_is_violated(two_tone, monkeypatch,
                  "--engine", "both"]) == EXIT_VIOLATED
     rec = json.loads(capsys.readouterr().out)
     assert {"engine", "spectral_exact", "quadrature", "error_estimate",
-            "disagreement"} <= set(rec)
+            "error_kind", "disagreement"} <= set(rec)
     assert float(rec["disagreement"]) == pytest.approx(0.01 / 1.01, rel=1e-6)
 
 

@@ -17,10 +17,12 @@ from expmoment.quadrature import (
     QuadratureConfig,
     bandlimit,
     fejer_weighted_integral,
+    gauss_legendre,
     windowed_abs_average,
     windowed_average,
 )
 from expmoment.verify import random_dominated, random_instance
+from tuple_sum_oracle import closed_form_cases
 
 
 def test_bandlimit_examples():
@@ -76,20 +78,34 @@ def test_fejer_weighted_dominated_coefficients():
 
 
 def test_oracle_agreement_random_instances():
+    # Real and dominated complex sources: the spectral value lies within the
+    # truncation bound (plus rounding), and the bound meets the tolerance.
     rng = np.random.default_rng(123)
-    for _ in range(40):
-        inst = random_instance(rng, max_n=6)
+    rel_tol = QuadratureConfig().rel_tol
+    for _ in range(60):
+        inst = random_instance(rng, max_n=8)
+        source = random_dominated(rng, inst) if rng.random() < 0.5 else inst
         q = int(rng.integers(1, 4))
-        T = float(rng.uniform(0.05, 10.0))
-        exp = spectral.expand(inst, q)
+        T = float(rng.uniform(0.05, 30.0))
+        exp = spectral.expand(source, q)
+        amp = source.amplitude_sum() ** (2 * q)
         win = Window(float(rng.uniform(-5, 5)), T)
-        quad = windowed_average(inst, q, win).value
+        res = windowed_average(source, q, win)
         exact = spectral.integral_exact(exp, win) / (2 * T)
-        assert quad == pytest.approx(exact, rel=1e-7, abs=1e-10)
+        assert abs(res.value - exact) <= res.error_estimate + _rounding(source, q, 1)
+        assert res.error_estimate <= rel_tol * res.value + 1e-15 * amp
         params = KernelParams(T, float(rng.uniform(-10, 10)))
-        quad_f = fejer_weighted_integral(inst, q, params).value
-        exact_f = spectral.fejer_weighted_exact(exp, params)
-        assert quad_f == pytest.approx(exact_f, rel=1e-7, abs=1e-10)
+        res = fejer_weighted_integral(source, q, params)
+        exact = spectral.fejer_weighted_exact(exp, params)
+        assert abs(res.value - exact) <= res.error_estimate + _rounding(source, q, T)
+        assert res.error_estimate <= rel_tol * res.value + 1e-15 * amp * T
+
+
+def _rounding(source, q, mass):
+    """Allowance for rounding in both engines, which the truncation bound
+    does not cover: 1e-13 of the integrand's pointwise maximum times the
+    kernel's mass."""
+    return 1e-13 * source.amplitude_sum() ** (2 * q) * mass
 
 
 def test_evenness_under_frequency_negation():
@@ -122,6 +138,8 @@ def test_error_estimate_reported():
     assert res.method == "quadrature"
     assert res.error_estimate >= 0.0
     assert res.metadata["panels"] >= 1
+    assert windowed_abs_average(inst, Window(0.0, 2.0)).metadata["error_kind"] \
+        == "refinement_estimate"
 
 
 def test_abs_average_two_tone():
@@ -164,11 +182,58 @@ def test_abs_average_kinked_closed_form(r, k, monkeypatch):
 
 def test_not_converged_carries_the_average():
     inst = validate_instance([1.0, 0.5], [0.0, 1.0])
-    window = Window(2.0, 10.0)
-    tiny = QuadratureConfig(max_panels=10)  # 7 base panels, no room to halve
-    for integrate in (lambda cfg: windowed_average(inst, 1, window, cfg),
-                      lambda cfg: windowed_abs_average(inst, window, cfg)):
+    cases = (
+        # One level of Gauss panels: at T = 10 one panel suffices, at
+        # T = 100 the rule needs 8 or 9 and 7 are too few.
+        (lambda cfg: windowed_average(inst, 1, Window(2.0, 100.0), cfg), 7),
+        # 7 base panels, no room to halve.
+        (lambda cfg: windowed_abs_average(inst, Window(2.0, 10.0), cfg), 10))
+    for integrate, max_panels in cases:
         converged = integrate(QuadratureConfig())
         with pytest.raises(NotConvergedError) as info:
-            integrate(tiny)
+            integrate(QuadratureConfig(max_panels=max_panels))
         assert info.value.value == pytest.approx(converged.value, rel=1e-6)
+    assert info.value.error_estimate > 0
+
+
+def test_bound_value_pinned_by_hand():
+    # a = (1, 1), phi = (0, 1): psi = -+1/2, so M(y) = (e^{y/2} + e^{-y/2})^2
+    # = 4 cosh^2(y/2).  With n = 16 nodes, Trefethen's n is 15.
+    inst = validate_instance([1.0, 1.0], [0.0, 1.0])
+
+    def per_unit_h(h, rho):
+        y = h * (rho - 1 / rho) / 2
+        return 64 / 15 * 4 * math.cosh(y / 2) ** 2 * rho ** -30 / (rho ** 2 - 1)
+
+    T = 40.0
+    res = windowed_average(inst, 1, Window(0.5, T))
+    h, rho = T / res.metadata["panels"], res.metadata["rho"]
+    # sum over the panels of h is T; the average divides by 2T.
+    assert res.error_estimate == pytest.approx(per_unit_h(h, rho) * T / (2 * T),
+                                               rel=1e-12)
+    assert res.metadata["points"] == 16 * res.metadata["panels"]
+    assert res.metadata["error_kind"] == "truncation_bound"
+    fej = fejer_weighted_integral(inst, 1, KernelParams(T, 0.5))
+    h, rho = T / fej.metadata["panels"], fej.metadata["rho"]
+    # The kernel adds sum h * (K(m) + a/T) = T/2 + a, a = h(rho + 1/rho)/2.
+    expected = per_unit_h(h, rho) * (T / 2 + h * (rho + 1 / rho) / 2)
+    assert fej.error_estimate == pytest.approx(expected, rel=1e-12)
+    # The same window by hand at one (h, rho): h = 1, rho = 5.
+    assert per_unit_h(1.0, 5.0) == pytest.approx(
+        64 / 15 * 4 * math.cosh(1.2) ** 2 / 5 ** 30 / 24, rel=1e-15)
+
+
+def test_bound_covers_mpmath_tuple_sum():
+    for source, q, _, T, shift, win, fej in closed_form_cases():
+        res = windowed_average(source, q, Window(shift, T))
+        assert abs(res.value - win / (2 * T)) \
+            <= res.error_estimate + _rounding(source, q, 1)
+        res = fejer_weighted_integral(source, q, KernelParams(T, shift))
+        assert abs(res.value - fej) <= res.error_estimate + _rounding(source, q, T)
+
+
+def test_gauss_nodes_cached_read_only():
+    nodes, weights = gauss_legendre(16)
+    assert gauss_legendre(16)[0] is nodes
+    assert not (nodes.flags.writeable or weights.flags.writeable)
+    assert math.fsum(weights) == pytest.approx(2.0, rel=1e-15)

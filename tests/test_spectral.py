@@ -1,7 +1,5 @@
-import itertools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from expmoment.core import (
     NotIntegerError,
     TermBudgetExceededError,
     Window,
-    coefficient_values,
     dominated_coefficients,
     validate_instance,
 )
@@ -27,6 +24,7 @@ from expmoment.spectral import (
     resonance_gap,
 )
 from expmoment.verify import random_dominated, random_instance
+from tuple_sum_oracle import closed_form_cases
 
 
 def _two_sided(exp):
@@ -166,45 +164,13 @@ def test_explicit_resonance_tol_above_merge_tol():
     assert resonance_gap(exp) == pytest.approx(0.5, rel=1e-14)
 
 
-def _oracle(source, q, T, shift, fejer):
-    """The windowed or Fejer integral of |S|^{2q} at 40 digits, summed over
-    all N^q x N^q index tuples (I, J) at omega = sum phi_I - sum phi_J."""
-    with mpmath.workdps(40):
-        c = [mpmath.mpc(v) for v in coefficient_values(source)]
-        phi = [mpmath.mpf(p) for p in source.frequencies]
-        T = mpmath.mpf(T)
-        tuples = [(mpmath.fprod(c[i] for i in idx), mpmath.fsum(phi[i] for i in idx))
-                  for idx in itertools.product(range(len(c)), repeat=q)]
-        total = mpmath.mpc(0)
-        for (ci, fi), (cj, fj) in itertools.product(tuples, tuples):
-            om = fi - fj
-            if fejer:
-                k = T if om == 0 else 4 * mpmath.sin(om * T / 2) ** 2 / (T * om ** 2)
-            else:
-                k = 2 * T if om == 0 else 2 * mpmath.sin(om * T) / om
-            total += ci * mpmath.conj(cj) * mpmath.expj(om * shift) * k
-        assert abs(total.imag) <= mpmath.mpf(10) ** -30 * abs(total.real)
-        return float(total.real)
-
-
 def test_closed_forms_match_mpmath_tuple_sum():
-    rng = np.random.default_rng(17)
-    for case in range(24):
-        n, q = 1 + case % 3, 1 + (case // 3) % 3
-        integer = case >= 12
-        phis = (rng.integers(-4, 5, n) if integer else rng.uniform(-4, 4, n))
-        inst = validate_instance([float(a) for a in rng.uniform(0.2, 1, n)],
-                                 [float(p) for p in phis])
-        source = random_dominated(rng, inst)
-        expanders = [expand] + ([rational_mode_expand] if integer else [])
-        for T, shift in ((0.4, 0.9), (3.0, -1.7), (25.0, 2.3)):
-            win = _oracle(source, q, T, shift, fejer=False)
-            fej = _oracle(source, q, T, shift, fejer=True)
-            for expander in expanders:
-                exp = expander(source, q)
-                assert integral_exact(exp, Window(shift, T)) == pytest.approx(win, rel=1e-12)
-                assert fejer_weighted_exact(exp, KernelParams(T, shift)) \
-                    == pytest.approx(fej, rel=1e-12)
+    for source, q, integer, T, shift, win, fej in closed_form_cases():
+        for expander in [expand] + ([rational_mode_expand] if integer else []):
+            exp = expander(source, q)
+            assert integral_exact(exp, Window(shift, T)) == pytest.approx(win, rel=1e-12)
+            assert fejer_weighted_exact(exp, KernelParams(T, shift)) \
+                == pytest.approx(fej, rel=1e-12)
 
 
 def test_fejer_weighted_exact_examples():

@@ -88,6 +88,33 @@ def test_nonpositive_size_is_invalid():
             build()
 
 
+def test_divisor_table_integral_float_size():
+    assert np.array_equal(divisor_table(1000.0, 2).d, divisor_table(1000, 2).d)
+    assert divisor_table(np.int64(30), 2).x == 30
+    for x in (1000.5, "1000", math.inf):
+        with pytest.raises(ValueError, match="x must be an integer"):
+            divisor_table(x, 2)
+
+
+def test_power_coefficients_integral_float_sizes():
+    table = power_coefficients(10, 3, limit=100.0)
+    assert table.limit == 100
+    assert np.array_equal(table.b, power_coefficients(10, 3, limit=100).b)
+    assert power_coefficients(np.float64(10.0), 2).N == 10
+    with pytest.raises(ValueError, match="limit must be an integer"):
+        power_coefficients(10, 3, limit=100.5)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        power_coefficients(10.5, 3)
+
+
+def test_growth_fit_integral_float_xs():
+    fit = growth_fit(2, xs=[1e3, np.int64(10 ** 4), 1e5])
+    assert fit["xs"] == [1000, 10000, 100000]
+    assert fit == growth_fit(2, xs=[1000, 10000, 100000])
+    with pytest.raises(ValueError, match="x must be an integer"):
+        growth_fit(2, xs=[1000.7, 1e4, 1e5])
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         power_coefficients(10 ** 3, 3, budget=10 ** 6)
