@@ -14,7 +14,7 @@ from .core import (
     dominated_coefficients,
     validate_instance,
 )
-from .evaluate import eval_batch, eval_power, eval_sum
+from .evaluate import eval_sum
 from .fejer import KernelParams, covering_deficit, kernel_hat, kernel_value
 from .quadrature import (
     QuadratureConfig,
@@ -27,7 +27,6 @@ from .rademacher import (
     RademacherMoment,
     exact_even_moment,
     exhaustive_moment,
-    khintchine_ratio_scan,
     monte_carlo_moment,
 )
 from .spectral import (

@@ -25,8 +25,9 @@ from .core import (
     TooManySignsError,
     Window,
     dominated_coefficients,
+    validate_order,
 )
-from .evaluate import eval_batch
+from .evaluate import _check_overflow, power_on_array
 from .quadrature import QuadratureConfig
 
 EXIT_OK = 0
@@ -188,13 +189,17 @@ def cmd_zeta(args) -> int:
 
 def cmd_plotdata(args) -> int:
     instance = _load_instance(args)
+    validate_order(args.q)
+    _check_overflow(instance, args.q)
     if args.points < 1:
         raise ExpMomentError("need at least one grid point")
     ts = np.linspace(args.tmin, args.tmax, args.points)
-    vals = eval_batch(instance, [float(t) for t in ts], args.q)
+    if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()):
+        raise ExpMomentError("grid points must be finite and strictly increasing")
+    vals = power_on_array(instance, ts, args.q)
     _emit(args, "t,power")
     for t, v in zip(ts, vals):
-        _emit(args, f"{_fmt(float(t))},{_fmt(v)}")
+        _emit(args, f"{_fmt(float(t))},{_fmt(float(v))}")
     return EXIT_OK
 
 

@@ -91,6 +91,11 @@ class BudgetExceededError(ExpMomentError):
 #: construction-time float noise.
 DOMINATION_RTOL = 1e-12
 
+#: Engines must agree this well whenever both ran; worse is a hard failure
+#: regardless of the inequality itself.  The spectral engine also refuses a
+#: value whose float-mode merging may have moved a phase by more.
+ENGINE_AGREEMENT_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Instance:

@@ -1,4 +1,4 @@
-"""Pointwise and batch evaluation of S(t) = sum_n c_n e^{it phi_n} and |S(t)|^{2q}."""
+"""S(t) = sum_n c_n e^{it phi_n} at one point, and S, |S|, |S|^{2q} on arrays."""
 from __future__ import annotations
 
 import math
@@ -12,20 +12,7 @@ from .core import (
     NonFiniteError,
     OverflowRangeError,
     coefficient_values,
-    validate_order,
 )
-
-
-def validate_grid(points) -> tuple[float, ...]:
-    """Evaluation grid: finite, strictly increasing reals. Empty is allowed."""
-    pts = tuple(float(t) for t in points)
-    for t in pts:
-        if not math.isfinite(t):
-            raise NonFiniteError(f"non-finite grid point {t!r}")
-    for lo, hi in zip(pts, pts[1:]):
-        if not lo < hi:
-            raise NonFiniteError("grid points must be strictly increasing")
-    return pts
 
 
 def eval_sum(source: Instance | ComplexCoefficients, t: float) -> complex:
@@ -50,20 +37,6 @@ def _check_overflow(source, q: int) -> None:
     if source.amplitude_sum() > 10.0 ** (300.0 / (2 * q)):
         raise OverflowRangeError(
             "amplitude sum too large for order q; rescale the amplitudes")
-
-
-def eval_power(source: Instance | ComplexCoefficients, t: float, q: int) -> float:
-    """|S(t)|^{2q}, computed as (re^2 + im^2)^q."""
-    validate_order(q)
-    _check_overflow(source, q)
-    s = eval_sum(source, t)
-    return (s.real * s.real + s.imag * s.imag) ** q
-
-
-def eval_batch(source: Instance | ComplexCoefficients, grid, q: int) -> list[float]:
-    """Pointwise eval_power over a validated grid, order preserved."""
-    pts = validate_grid(grid)
-    return [eval_power(source, t, q) for t in pts]
 
 
 # --------------------------------------------------------------------------

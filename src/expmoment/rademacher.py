@@ -1,6 +1,6 @@
 """Moments of sign-randomized sums E|sum_n eps_n z_n|^{2q} for Rademacher
 signs eps_n: exact values, exhaustive enumeration over all sign vectors,
-reproducible Monte Carlo, and empirical Khintchine ratios.
+and reproducible Monte Carlo.
 
 The exact route folds in one term at a time.  With
 m[a, b] = E[X^a conj(X)^b] for a, b <= q, adding eps z to X gives
@@ -111,30 +111,3 @@ def monte_carlo_moment(values, q: int, samples: int, seed: int) -> RademacherMom
     else:
         std_error = None
     return RademacherMoment(max(0.0, mean), "monte_carlo", samples, std_error)
-
-
-def khintchine_ratio_scan(q: int, trials: int, dimension_range: tuple[int, int],
-                          seed: int) -> dict:
-    """Empirical range of E|sum eps z|^{2q} / (sum |z_n|^2)^q over random z.
-
-    The minimum is provably >= 1 (Jensen on the exact second moment
-    E|sum eps z|^2 = sum |z|^2); the maximum is observational metadata.
-    """
-    validate_order(q)
-    if trials < 1:
-        raise NonFiniteError("trials must be >= 1")
-    lo, hi = dimension_range
-    if lo < 1 or hi < lo:
-        raise NonFiniteError("bad dimension range")
-    rng = Generator(Philox(key=seed))
-    min_ratio = math.inf
-    max_ratio = -math.inf
-    for _ in range(trials):
-        n = int(rng.integers(lo, hi + 1))
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        denom = float(np.sum(z.real ** 2 + z.imag ** 2)) ** q
-        ratio = exact_even_moment(z, q) / denom
-        min_ratio = min(min_ratio, ratio)
-        max_ratio = max(max_ratio, ratio)
-    return {"min_ratio": min_ratio, "max_ratio": max_ratio,
-            "trials": trials, "q": q}

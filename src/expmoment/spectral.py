@@ -10,13 +10,14 @@ Fejer kernel, and the indicator of |omega| <= tol for the long-window limit.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
+    ENGINE_AGREEMENT_RTOL,
+    BadGapError,
     ComplexCoefficients,
     Instance,
     ImaginaryResidueError,
@@ -51,91 +52,81 @@ class SpectralExpansion:
     source: Instance | ComplexCoefficients
     metadata: dict = field(default_factory=dict, compare=False)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["freq", "amp_re", "amp_im"])
-            for f, a in zip(self.freqs, self.amps):
-                writer.writerow([repr(float(f)), repr(float(a.real)),
-                                 repr(float(a.imag))])
-
-
-def composition_count(n: int, q: int) -> int:
-    return math.comb(n + q - 1, q)
-
-
-def default_merge_tol(source, q: int) -> float:
-    """Separates genuinely distinct float omegas from arithmetic noise."""
-    return 1e-9 * max(1.0, q * max(abs(p) for p in source.frequencies))
-
 
 def _merge(omegas: np.ndarray, coeffs: np.ndarray,
-           tol: float) -> tuple[np.ndarray, np.ndarray]:
+           tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Cluster omegas closer than tol (on the sorted sequence) and sum coeffs.
 
+    Returns the merged omegas and coeffs and the widest cluster's span.
     With tol = 0 only equal omegas merge, and each keeps its exact value.
     """
     order = np.argsort(omegas, kind="stable")
     om = omegas[order]
     co = coeffs[order]
-    if om.size == 0:
-        return om, co
     breaks = np.flatnonzero(np.diff(om) > tol) + 1
     starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [om.size])) - 1
+    width = float((om[ends] - om[starts]).max())
     merged_co = np.add.reduceat(co, starts)
     if tol == 0:
-        return om[starts], merged_co
-    counts = np.diff(np.concatenate((starts, [om.size])))
-    merged_om = np.add.reduceat(om, starts) / counts
-    return merged_om, merged_co
+        return om[starts], merged_co, width
+    merged_om = np.add.reduceat(om, starts) / (ends + 1 - starts)
+    return merged_om, merged_co, width
 
 
-def _modes(values, q: int, phis: np.ndarray, merge_tol: float,
-           term_budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _modes(values, q: int, phis: np.ndarray,
+           merge_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Merged one-sided modes (f_k, A_k) of (sum c_n e^{it phi_n})^q.
 
     Folds in one factor per round, (f, A) <- merge(f + phi, A c).  Integer
     phis merge at tol 0 and stay exact.  The r-fold sumset never shrinks
-    as r grows, so the budget on the final mode pairs is checked every round.
+    as r grows, so the budget on the final mode pairs is checked every
+    round.  Also returns the merge width: the widest cluster summed over
+    the rounds, which bounds how far merging moved any mode frequency.
     """
     coeffs = np.asarray(values, dtype=np.complex128)
     freqs = np.zeros(1, dtype=phis.dtype)
     amps = np.ones(1, dtype=np.complex128)
+    width = 0.0
     for _ in range(q):
-        freqs, amps = _merge((freqs[:, None] + phis[None, :]).ravel(),
-                             (amps[:, None] * coeffs[None, :]).ravel(),
-                             merge_tol)
-        if freqs.size ** 2 > term_budget:
+        freqs, amps, w = _merge((freqs[:, None] + phis[None, :]).ravel(),
+                                (amps[:, None] * coeffs[None, :]).ravel(),
+                                merge_tol)
+        width += w
+        if freqs.size ** 2 > DEFAULT_TERM_BUDGET:
             raise TermBudgetExceededError(
-                f"{freqs.size}^2 mode pairs exceed budget {term_budget}")
-    return freqs, amps
+                f"{freqs.size}^2 mode pairs exceed budget {DEFAULT_TERM_BUDGET}")
+    return freqs, amps, width
 
 
-def _expand(source, q: int, phis: np.ndarray, merge_tol: float,
-            term_budget: int) -> SpectralExpansion:
+def _expand(source, q: int, exact: bool) -> SpectralExpansion:
     """The merged modes of S^q, with the Parseval residual |S(0)|^{2q}.
 
-    Integer phis keep every mode frequency an exact int64.
+    Exact: int64 frequencies that merge only when equal.  Otherwise float
+    frequencies that merge within 1e-9 max(1, q max|phi|), which separates
+    genuinely distinct omegas from arithmetic noise.
     """
     values = coefficient_values(source)
-    freqs, amps = _modes(values, q, phis, merge_tol, term_budget)
+    phis = np.asarray(source.frequencies, dtype=np.int64 if exact else np.float64)
+    merge_tol = 0.0 if exact else 1e-9 * max(1.0, q * float(np.abs(phis).max()))
+    freqs, amps, width = _modes(values, q, phis, merge_tol)
     s0 = abs(complex(np.sum(values))) ** (2 * q)
     parseval = abs(abs(complex(np.sum(amps))) ** 2 - s0) / max(s0, 1e-300)
     return SpectralExpansion(
         freqs, amps, q, source,
-        {"merge_tol": merge_tol, "raw_pairs": freqs.size * freqs.size,
-         "parseval_rel_err": parseval, "exact_omegas": phis.dtype.kind == "i"})
+        {"merge_tol": merge_tol, "merge_width": width,
+         "raw_pairs": freqs.size * freqs.size,
+         "parseval_rel_err": parseval, "exact_omegas": exact})
 
 
-def expand(source: Instance | ComplexCoefficients, q: int,
-           merge_tol: float | None = None,
-           term_budget: int = DEFAULT_TERM_BUDGET) -> SpectralExpansion:
-    """Merged modes of S^q, whose Hermitian form is |S(t)|^{2q}."""
+def expand(source: Instance | ComplexCoefficients, q: int) -> SpectralExpansion:
+    """Merged modes of S^q, whose Hermitian form is |S(t)|^{2q}.
+
+    Exact int64 modes whenever integer_mode(source, q) holds, float modes
+    otherwise; metadata["exact_omegas"] says which.
+    """
     validate_order(q)
-    if merge_tol is None:
-        merge_tol = default_merge_tol(source, q)
-    phis = np.asarray(source.frequencies, dtype=np.float64)
-    return _expand(source, q, phis, merge_tol, term_budget)
+    return _expand(source, q, integer_mode(source, q))
 
 
 def integer_mode(source: Instance | ComplexCoefficients, q: int) -> bool:
@@ -149,29 +140,33 @@ def integer_mode(source: Instance | ComplexCoefficients, q: int) -> bool:
             and 2 * q * max(abs(p) for p in phis) <= _EXACT_INTEGER_LIMIT)
 
 
-def rational_mode_expand(source: Instance | ComplexCoefficients, q: int,
-                         term_budget: int = DEFAULT_TERM_BUDGET) -> SpectralExpansion:
-    """Expansion with integer frequencies: modes, merging and omegas are exact.
-
-    Raises NotIntegerError unless integer_mode(source, q) holds.
-    """
+def rational_mode_expand(source: Instance | ComplexCoefficients,
+                         q: int) -> SpectralExpansion:
+    """expand, but raises NotIntegerError unless integer_mode(source, q) holds."""
     validate_order(q)
     if not integer_mode(source, q):
         raise NotIntegerError(
             f"integer mode needs integer frequencies with 2q max|phi| <= 2^53, "
             f"got q = {q} and frequencies {source.frequencies!r}")
-    phis = np.asarray(source.frequencies, dtype=np.int64)
-    return _expand(source, q, phis, 0.0, term_budget)
+    return _expand(source, q, True)
 
 
-def _form(expansion: SpectralExpansion, kernel, shift: float, what: str) -> float:
+def _form(expansion: SpectralExpansion, kernel, shift: float, reach: float,
+          what: str) -> float:
     """sum_{j,k} b_j K(f_j - f_k) conj(b_k) with b = A e^{i f shift}.
 
-    K is real, even and largest at 0, so the form is real up to rounding;
-    conj(b) enters as two real columns, so K is never cast to complex.  Row
-    blocks hold at most _ROW_CHUNK entries; integer frequencies subtract in
-    int64 before the cast, so omega stays exact.
+    Merging moved each mode by at most merge_width, so each pair's phase on
+    the |t| <= reach that the kernel weighs by at most 2 merge_width reach;
+    merge_width reach > ENGINE_AGREEMENT_RTOL raises BadGapError.  K is
+    real, even and largest at 0, so the form is real up to rounding; conj(b)
+    enters as two real columns, so K is never cast to complex.  Row blocks
+    hold at most _ROW_CHUNK entries; integer frequencies subtract in int64
+    before the cast, so omega stays exact.
     """
+    width = expansion.metadata.get("merge_width", 0.0)
+    if width * reach > ENGINE_AGREEMENT_RTOL:
+        raise BadGapError(
+            f"{what}: merging modes {width!r} apart moves phases at |t| <= {reach!r}")
     f = expansion.freqs
     b = expansion.amps * np.exp(1j * shift * f.astype(np.float64, copy=False))
     conj_b = np.stack((b.real, -b.imag), axis=1)
@@ -197,7 +192,7 @@ def integral_exact(expansion: SpectralExpansion, window: Window) -> float:
     """
     T = window.half_width
     return _form(expansion, lambda om: 2.0 * T * np.sinc(om * (T / math.pi)),
-                 window.center, "integral_exact")
+                 window.center, abs(window.center) + T, "integral_exact")
 
 
 def limit_moment(expansion: SpectralExpansion,
@@ -210,7 +205,7 @@ def limit_moment(expansion: SpectralExpansion,
     tol = (expansion.metadata.get("merge_tol", 0.0) if resonance_tol is None
            else resonance_tol)
     return _form(expansion, lambda om: (np.abs(om) <= tol).astype(np.float64),
-                 0.0, "limit_moment")
+                 0.0, 0.0, "limit_moment")
 
 
 def resonance_gap(expansion: SpectralExpansion,
@@ -236,4 +231,4 @@ def fejer_weighted_exact(expansion: SpectralExpansion,
     Khat_T(omega) = 4 sin^2(omega T/2)/(T omega^2) = T sinc^2(omega T/(2 pi)).
     """
     return _form(expansion, lambda om: kernel_hat(params, om), params.H,
-                 "fejer_weighted_exact")
+                 abs(params.H) + params.T, "fejer_weighted_exact")

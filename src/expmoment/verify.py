@@ -15,6 +15,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import (
+    ENGINE_AGREEMENT_RTOL,
     BadGapError,
     ComplexCoefficients,
     DegenerateCosineError,
@@ -37,12 +38,8 @@ from . import spectral
 PASS_REL_SLACK = 1e-9
 PASS_ABS_SLACK = 1e-12
 
-# Engines must agree this well whenever both ran; worse is a hard failure
-# regardless of the inequality itself.
-ENGINE_AGREEMENT_RTOL = 1e-6
-
-# "auto" uses the exact engine when composition pairs, an upper bound on
-# the mode pairs its Hermitian form evaluates, stay this few.
+# "auto" uses the exact engine when composition pairs C(N + q - 1, q)^2, an
+# upper bound on the mode pairs its Hermitian form evaluates, stay this few.
 _AUTO_SPECTRAL_PAIRS = 4_000_000
 
 #: The proof chain gives the windowed lower bound with constant 1/3:
@@ -88,23 +85,20 @@ def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
                          engine: str) -> tuple[float, dict]:
     """Unnormalized integral of |S|^{2q} against a window or a Fejer kernel.
 
-    The one place that resolves engine names.  The exact engine expands
-    over integers whenever spectral.integer_mode holds.
+    The one place that resolves engine names.
     """
     if engine == "auto":
-        n = spectral.composition_count(source.size, q)
+        n = math.comb(source.size + q - 1, q)
         engine = "spectral" if n * n <= _AUTO_SPECTRAL_PAIRS else "quadrature"
     if engine not in ("spectral", "quadrature", "both"):
         raise ValueError(f"unknown engine {engine!r}")
     fejer = isinstance(kernel, KernelParams)
     meta: dict = {"engine": engine}
     if engine != "quadrature":
-        rational = spectral.integer_mode(source, q)
-        expansion = (spectral.rational_mode_expand(source, q) if rational
-                     else spectral.expand(source, q))
+        expansion = spectral.expand(source, q)
         value = (spectral.fejer_weighted_exact(expansion, kernel) if fejer
                  else spectral.integral_exact(expansion, kernel))
-        meta["rational_mode"] = rational
+        meta["rational_mode"] = expansion.metadata["exact_omegas"]
     if engine == "spectral":
         return value, meta
     if fejer:

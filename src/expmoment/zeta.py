@@ -4,7 +4,6 @@ the divisor-square sum, and the moment lower bound c log^{nu^2} N.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -41,9 +40,6 @@ class CoefficientTable:
     def total(self) -> int:
         return int(self.b.sum())
 
-    def to_csv(self, path) -> None:
-        _table_to_csv(path, "b", self.b)
-
 
 @dataclass(frozen=True)
 class DivisorTable:
@@ -52,17 +48,6 @@ class DivisorTable:
     nu: int
     x: int
     d: np.ndarray  # int64, index m in 0..x; d[0] unused
-
-    def to_csv(self, path) -> None:
-        _table_to_csv(path, "d", self.d)
-
-
-def _table_to_csv(path, name: str, arr: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", name])
-        for m in range(1, arr.size):
-            writer.writerow([m, int(arr[m])])
 
 
 def _as_int(name: str, value) -> int:
@@ -130,8 +115,7 @@ def _indicator_power(M: int, nu: int, limit: int) -> np.ndarray:
     return cur
 
 
-def power_coefficients(N: int, nu: int, limit: int | None = None,
-                       budget: int = DEFAULT_ENTRY_BUDGET) -> CoefficientTable:
+def power_coefficients(N: int, nu: int, limit: int | None = None) -> CoefficientTable:
     """nu-fold Dirichlet convolution of the indicator of [1, N], exact integers.
 
     A table truncated at limit < N^nu is exact for every m <= limit (all
@@ -148,8 +132,9 @@ def power_coefficients(N: int, nu: int, limit: int | None = None,
             raise ValueError(f"limit must be >= 1, got {limit}")
     full = N ** nu
     limit = full if limit is None else min(limit, full)
-    if limit > budget:
-        raise BudgetExceededError(f"table of {limit} entries exceeds budget {budget}")
+    if limit > DEFAULT_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"table of {limit} entries exceeds budget {DEFAULT_ENTRY_BUDGET}")
     _check_int64(limit, nu)
     return CoefficientTable(nu, N, limit, _indicator_power(min(N, limit), nu, limit))
 
@@ -166,8 +151,7 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
 
 
-def divisor_table(x: int, nu: int,
-                  budget: int = DEFAULT_ENTRY_BUDGET) -> DivisorTable:
+def divisor_table(x: int, nu: int) -> DivisorTable:
     """Sieve d_nu(m) for m <= x, exact integers.
 
     d_nu is multiplicative with d_nu(p^k) = C(k + nu - 1, nu - 1).  Each
@@ -183,8 +167,9 @@ def divisor_table(x: int, nu: int,
     x = _as_int("x", x)
     if x < 1:
         raise ValueError("x must be >= 1")
-    if x > budget:
-        raise BudgetExceededError(f"table of {x} entries exceeds budget {budget}")
+    if x > DEFAULT_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"table of {x} entries exceeds budget {DEFAULT_ENTRY_BUDGET}")
     top = _check_int64(x, nu)
     d = np.ones(x + 1, dtype=next(t for t in (np.int16, np.int32, np.int64)
                                   if top <= np.iinfo(t).max))

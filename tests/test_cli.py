@@ -200,5 +200,34 @@ def test_plotdata_empty_grid_is_invalid(two_tone):
                  "--tmax", "1", "--points", "0"]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("tmin, tmax, points", [
+    ("1", "0", "5"),     # reversed range
+    ("0", "0", "2"),     # repeated point
+    ("nan", "1", "5"),   # non-finite bound
+])
+def test_plotdata_bad_grid_is_invalid(two_tone, tmin, tmax, points):
+    assert main(["plotdata", "--instance", two_tone, "--tmin", tmin,
+                 "--tmax", tmax, "--points", points]) == EXIT_INVALID
+
+
+def test_plotdata_single_point(capsys):
+    assert main(["plotdata", "--inline", "a=1,1,1;phi=0,1,2", "--q", "1",
+                 "--tmin", "0", "--tmax", "0", "--points", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["t,power", "0,9"]
+
+
+def test_plotdata_overflow_is_invalid():
+    # (sum a_n)^{2q} = (2e200)^4 leaves the double range.
+    assert main(["plotdata", "--inline", "a=1e200,1e200;phi=0,1", "--q", "2",
+                 "--tmin", "0", "--tmax", "1", "--points", "3"]) == EXIT_INVALID
+
+
+def test_moment_wide_float_merge_is_invalid(capsys):
+    # Exact modes would give about 3.087; the merged ones gave 5.0.
+    assert main(["moment", "--inline", "a=1,1,1;phi=0,1.5,2000000000.5",
+                 "--q", "1", "--T", "10"]) == EXIT_INVALID
+    assert "integral_exact" in capsys.readouterr().err
+
+
 def test_budget_exit_code(capsys):
     assert main(["zeta", "--nu", "3", "--N", "1000"]) == EXIT_BUDGET

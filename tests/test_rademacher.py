@@ -8,7 +8,6 @@ from expmoment.core import NonFiniteError, TooManySignsError
 from expmoment.rademacher import (
     exact_even_moment,
     exhaustive_moment,
-    khintchine_ratio_scan,
     monte_carlo_moment,
 )
 
@@ -112,19 +111,6 @@ def test_monte_carlo_single_sample():
 def test_monte_carlo_rejects_zero_samples():
     with pytest.raises(NonFiniteError):
         monte_carlo_moment([1.0], 1, samples=0, seed=0)
-
-
-def test_khintchine_ratio_q1_is_one():
-    scan = khintchine_ratio_scan(1, trials=50, dimension_range=(1, 8), seed=3)
-    assert scan["min_ratio"] == pytest.approx(1.0, rel=1e-12)
-    assert scan["max_ratio"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_khintchine_ratio_lower_bound_is_one():
-    for q in (2, 3):
-        scan = khintchine_ratio_scan(q, trials=100, dimension_range=(1, 10),
-                                     seed=5)
-        assert scan["min_ratio"] >= 1.0 - 1e-12
 
 
 def test_khintchine_ratio_single_coordinate():

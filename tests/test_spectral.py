@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from expmoment.core import (
+    BadGapError,
     ImaginaryResidueError,
     NotIntegerError,
     TermBudgetExceededError,
@@ -11,11 +13,11 @@ from expmoment.core import (
     dominated_coefficients,
     validate_instance,
 )
-from expmoment.evaluate import eval_power
+from expmoment.evaluate import eval_sum
 from expmoment.fejer import KernelParams
 from expmoment.quadrature import windowed_average
 from expmoment.spectral import (
-    composition_count,
+    _expand,
     expand,
     fejer_weighted_exact,
     integral_exact,
@@ -72,7 +74,7 @@ def test_term_count_bound_and_symmetry():
         inst = random_instance(rng, max_n=5)
         q = int(rng.integers(1, 4))
         omegas, coeffs = _two_sided(expand(inst, q))
-        assert omegas.size <= composition_count(inst.size, q) ** 2
+        assert omegas.size <= math.comb(inst.size + q - 1, q) ** 2
         # real non-negative amplitudes: real coefficients, symmetric spectrum
         assert np.abs(coeffs.imag).max() <= 1e-9 * np.abs(coeffs).max()
         order = np.argsort(-omegas)
@@ -89,15 +91,19 @@ def test_parseval_at_zero():
             q = int(rng.integers(1, 4))
             exp = expand(source, q)
             total = complex(np.sum(_two_sided(exp)[1]))
-            direct = eval_power(source, 0.0, q)
+            direct = abs(eval_sum(source, 0.0)) ** (2 * q)
             assert total.real == pytest.approx(direct, rel=1e-9, abs=1e-12)
             assert exp.metadata["parseval_rel_err"] <= 1e-9 + 1e-12 / max(direct, 1e-12)
 
 
 def test_term_budget():
-    inst = validate_instance([1.0] * 10, list(range(10)))
-    with pytest.raises(TermBudgetExceededError):
-        expand(inst, 3, term_budget=100)
+    # 40 generic frequencies give C(42, 3) = 11,480 modes of S^3, whose
+    # 1.3e8 mode pairs exceed the 1e8 budget.
+    phis = np.random.default_rng(0).uniform(-10.0, 10.0, 40)
+    inst = validate_instance([1.0] * 40, [float(p) for p in phis])
+    with pytest.raises(TermBudgetExceededError, match="11480"):
+        expand(inst, 3)
+    assert expand(inst, 2).freqs.size == math.comb(41, 2)
 
 
 def test_budget_counts_merged_modes():
@@ -166,7 +172,9 @@ def test_explicit_resonance_tol_above_merge_tol():
 
 def test_closed_forms_match_mpmath_tuple_sum():
     for source, q, integer, T, shift, win, fej in closed_form_cases():
-        for expander in [expand] + ([rational_mode_expand] if integer else []):
+        float_expand = functools.partial(_expand, exact=False)
+        expanders = [expand, float_expand] + ([rational_mode_expand] if integer else [])
+        for expander in expanders:
             exp = expander(source, q)
             assert integral_exact(exp, Window(shift, T)) == pytest.approx(win, rel=1e-12)
             assert fejer_weighted_exact(exp, KernelParams(T, shift)) \
@@ -217,17 +225,41 @@ def test_rational_matches_float_expand():
                                  [float(v) for v in rng.integers(-5, 6, n)])
         q = int(rng.integers(1, 4))
         a = rational_mode_expand(inst, q)
-        b = expand(inst, q)
+        b = _expand(inst, q, exact=False)
+        assert b.freqs.dtype == np.float64
         win = Window(float(rng.uniform(-3, 3)), float(rng.uniform(0.1, 5)))
         assert integral_exact(a, win) == pytest.approx(integral_exact(b, win),
                                                        rel=1e-9, abs=1e-12)
 
 
-def test_csv_dump(tmp_path):
-    exp = expand(validate_instance([1.0, 1.0], [0.0, 1.0]), 1)
-    path = tmp_path / "terms.csv"
-    exp.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "freq,amp_re,amp_im"
-    assert len(lines) == 1 + exp.freqs.size
-    assert lines[1:] == ["0.0,1.0,0.0", "1.0,1.0,0.0"]
+def test_expand_goes_exact_on_integer_frequencies():
+    # A float merge tolerance of 1e-9 q max|phi| = 2 would join 0 and 1.
+    exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1.0, 2e9]), 1)
+    assert exp.freqs.dtype == np.int64
+    assert exp.metadata["exact_omegas"] and exp.metadata["merge_width"] == 0.0
+    assert limit_moment(exp) == 3.0
+    assert integral_exact(exp, Window(0.0, 10.0)) / 20.0 == pytest.approx(
+        3.0 + 2.0 * math.sin(10.0) / 10.0, rel=1e-9)
+
+
+def test_wide_float_merge_is_refused():
+    # One large frequency widens the merge tolerance to 2, which joins the
+    # modes at 0 and 1.5: the window value would read 5.0, not about 3.087.
+    exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1.5, 2e9 + 0.5]), 1)
+    assert not exp.metadata["exact_omegas"]
+    assert exp.metadata["merge_width"] == 1.5
+    with pytest.raises(BadGapError):
+        integral_exact(exp, Window(0.0, 10.0))
+    with pytest.raises(BadGapError):
+        fejer_weighted_exact(exp, KernelParams(10.0, 0.0))
+
+
+def test_merge_width_accepts_rounding_clusters():
+    # Frequencies equal up to rounding merge within a tiny width, and the
+    # window value keeps the engines' agreement with quadrature.
+    inst = validate_instance([1.0, 0.5, 0.25], [0.1 + 0.2, 0.3, 1.7])
+    exp = expand(inst, 2)
+    assert 0.0 < exp.metadata["merge_width"] < 1e-15
+    window = Window(40.0, 60.0)
+    quad = windowed_average(inst, 2, window).value
+    assert integral_exact(exp, window) / 120.0 == pytest.approx(quad, rel=1e-9)

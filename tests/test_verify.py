@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from expmoment import verify
+from expmoment import verify, zeta
 from expmoment.core import (
     BadGapError,
     DegenerateCosineError,
@@ -246,3 +246,12 @@ def test_report_json_line_schema():
         assert key in rec
     assert rec["check"] == "theorem1"
     assert rec["passed"] is True
+
+
+def test_auto_engine_choice():
+    # auto prices C(N + q - 1, q)^2 composition pairs against 4e6: 3.3e6
+    # at zeta N = 60, nu = 2, and 6.2e6 at N = 70.
+    assert zeta.corollary_lower_bound(60, 2, 1e3).method["engine"] == "spectral"
+    assert zeta.corollary_lower_bound(70, 2, 1e3).method["engine"] == "quadrature"
+    engines = {rep.method["engine"] for _, rep in verify.campaign("theorem1", 25, 42)}
+    assert engines == {"spectral"}
