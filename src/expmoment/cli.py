@@ -25,6 +25,7 @@ from .core import (
     TooManySignsError,
     Window,
     dominated_coefficients,
+    validate_instance,
     validate_order,
 )
 from .evaluate import _check_overflow, power_on_array
@@ -53,9 +54,7 @@ def _load_instance(args) -> Instance:
         for part in args.inline.split(";"):
             key, _, val = part.partition("=")
             fields[key.strip()] = [float(v) for v in val.split(",") if v.strip()]
-        return Instance.from_json(json.dumps(
-            {"amplitudes": fields.get("a", []),
-             "frequencies": fields.get("phi", [])}))
+        return validate_instance(fields.get("a", []), fields.get("phi", []))
     raise ExpMomentError("no instance given (use --instance or --inline)")
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -205,10 +206,10 @@ def validate_instance(amplitudes: Iterable[float],
 
 
 def validate_order(q: int) -> int:
-    """Moment order q must be a positive integer (the power is 2q)."""
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
+    """Moment order q as an int; it must be a positive integer (the power is 2q)."""
+    if not isinstance(q, numbers.Integral) or isinstance(q, bool) or q < 1:
         raise NonFiniteError(f"moment order must be a positive integer, got {q!r}")
-    return q
+    return int(q)
 
 
 def dominated_coefficients(values: Iterable[complex],

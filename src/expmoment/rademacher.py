@@ -46,7 +46,7 @@ def _as_complex(values) -> np.ndarray:
 
 def exact_even_moment(values, q: int) -> float:
     """E|sum_n eps_n z_n|^{2q} exactly, by the O(N q^3) moment fold."""
-    validate_order(q)
+    q = validate_order(q)
     z = _as_complex(values)
     a = np.arange(q + 1)
     lag = np.subtract.outer(a, a)
@@ -66,7 +66,7 @@ def exact_even_moment(values, q: int) -> float:
 
 def exhaustive_moment(values, q: int) -> float:
     """Average of |sum eps_n z_n|^{2q} over all 2^N sign vectors."""
-    validate_order(q)
+    q = validate_order(q)
     z = _as_complex(values)
     n = z.size
     if n > _MAX_EXHAUSTIVE:
@@ -88,7 +88,7 @@ def monte_carlo_moment(values, q: int, samples: int, seed: int) -> RademacherMom
     Signs come from a counter-based Philox stream keyed by the seed, so the
     realization depends only on (seed, sample index).
     """
-    validate_order(q)
+    q = validate_order(q)
     if samples < 1:
         raise NonFiniteError("samples must be >= 1")
     z = _as_complex(values)

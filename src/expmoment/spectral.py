@@ -6,7 +6,7 @@ S = sum_n c_n e^{it phi_n} at a time: every mode (f, A) of S^{r-1} spawns
 |S(t)|^{2q} = sum_{j,k} A_j conj(A_k) e^{i (f_j - f_k) t}, and every
 closed form is sum_{j,k} b_j K(f_j - f_k) conj(b_k) with b = A e^{i f shift}:
 only the kernel K changes.  It is 2T sinc for a window, T sinc^2 for the
-Fejer kernel, and the indicator of |omega| <= tol for the long-window limit.
+Fejer kernel, and the diagonal j = k, sum_k |A_k|^2, for the long-window limit.
 """
 from __future__ import annotations
 
@@ -42,14 +42,12 @@ _EXACT_INTEGER_LIMIT = 2 ** 53
 class SpectralExpansion:
     """Merged one-sided modes of S^q: sum_k amps_k e^{i freqs_k t} = S(t)^q.
 
-    freqs is sorted; it is int64, and exact, when metadata["exact_omegas"].
+    freqs is sorted float64; it is exact when metadata["exact_omegas"].
     |S(t)|^{2q} is the Hermitian form of the amps at omega = f_j - f_k.
     """
 
     freqs: np.ndarray
     amps: np.ndarray
-    q: int
-    source: Instance | ComplexCoefficients
     metadata: dict = field(default_factory=dict, compare=False)
 
 
@@ -57,8 +55,8 @@ def _merge(omegas: np.ndarray, coeffs: np.ndarray,
            tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Cluster omegas closer than tol (on the sorted sequence) and sum coeffs.
 
-    Returns the merged omegas and coeffs and the widest cluster's span.
-    With tol = 0 only equal omegas merge, and each keeps its exact value.
+    Returns the merged omegas (each cluster's first) and coeffs and the
+    widest cluster's span.
     """
     order = np.argsort(omegas, kind="stable")
     om = omegas[order]
@@ -67,25 +65,20 @@ def _merge(omegas: np.ndarray, coeffs: np.ndarray,
     starts = np.concatenate(([0], breaks))
     ends = np.concatenate((breaks, [om.size])) - 1
     width = float((om[ends] - om[starts]).max())
-    merged_co = np.add.reduceat(co, starts)
-    if tol == 0:
-        return om[starts], merged_co, width
-    merged_om = np.add.reduceat(om, starts) / (ends + 1 - starts)
-    return merged_om, merged_co, width
+    return om[starts], np.add.reduceat(co, starts), width
 
 
 def _modes(values, q: int, phis: np.ndarray,
            merge_tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Merged one-sided modes (f_k, A_k) of (sum c_n e^{it phi_n})^q.
 
-    Folds in one factor per round, (f, A) <- merge(f + phi, A c).  Integer
-    phis merge at tol 0 and stay exact.  The r-fold sumset never shrinks
-    as r grows, so the budget on the final mode pairs is checked every
-    round.  Also returns the merge width: the widest cluster summed over
-    the rounds, which bounds how far merging moved any mode frequency.
+    Folds in one factor per round, (f, A) <- merge(f + phi, A c).  The
+    r-fold sumset never shrinks as r grows, so the budget on the final mode
+    pairs is checked every round.  Also returns the merge width, the widest
+    cluster summed over the rounds: it bounds how far merging moved a mode.
     """
     coeffs = np.asarray(values, dtype=np.complex128)
-    freqs = np.zeros(1, dtype=phis.dtype)
+    freqs = np.zeros(1)
     amps = np.ones(1, dtype=np.complex128)
     width = 0.0
     for _ in range(q):
@@ -102,38 +95,41 @@ def _modes(values, q: int, phis: np.ndarray,
 def _expand(source, q: int, exact: bool) -> SpectralExpansion:
     """The merged modes of S^q, with the Parseval residual |S(0)|^{2q}.
 
-    Exact: int64 frequencies that merge only when equal.  Otherwise float
-    frequencies that merge within 1e-9 max(1, q max|phi|), which separates
-    genuinely distinct omegas from arithmetic noise.
+    Modes are float64.  Exact ones (integer_mode) are integers and merge only
+    when equal.  Otherwise each is a recursive sum of q phis, off by at most
+    gamma_{q-1} q max|phi|, gamma_n = n u / (1 - n u), u = eps/2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 4.2): two orders
+    of the same phis differ by less than q eps q max|phi|, so modes merge
+    within 4 q eps max(1, q max|phi|).
     """
     values = coefficient_values(source)
-    phis = np.asarray(source.frequencies, dtype=np.int64 if exact else np.float64)
-    merge_tol = 0.0 if exact else 1e-9 * max(1.0, q * float(np.abs(phis).max()))
+    phis = np.asarray(source.frequencies, dtype=np.float64)
+    merge_tol = 0.0 if exact else (
+        4 * q * np.finfo(np.float64).eps * max(1.0, q * float(np.abs(phis).max())))
     freqs, amps, width = _modes(values, q, phis, merge_tol)
     s0 = abs(complex(np.sum(values))) ** (2 * q)
     parseval = abs(abs(complex(np.sum(amps))) ** 2 - s0) / max(s0, 1e-300)
     return SpectralExpansion(
-        freqs, amps, q, source,
-        {"merge_tol": merge_tol, "merge_width": width,
-         "raw_pairs": freqs.size * freqs.size,
+        freqs, amps,
+        {"merge_width": width, "raw_pairs": freqs.size * freqs.size,
          "parseval_rel_err": parseval, "exact_omegas": exact})
 
 
 def expand(source: Instance | ComplexCoefficients, q: int) -> SpectralExpansion:
     """Merged modes of S^q, whose Hermitian form is |S(t)|^{2q}.
 
-    Exact int64 modes whenever integer_mode(source, q) holds, float modes
-    otherwise; metadata["exact_omegas"] says which.
+    Exact modes whenever integer_mode(source, q) holds, rounding-merged
+    modes otherwise; metadata["exact_omegas"] says which.
     """
-    validate_order(q)
+    q = validate_order(q)
     return _expand(source, q, integer_mode(source, q))
 
 
 def integer_mode(source: Instance | ComplexCoefficients, q: int) -> bool:
     """Whether every frequency is an integer with 2q max|phi| <= 2^53.
 
-    Then every mode frequency and every pair difference is an integer that
-    float64 holds exactly and int64 holds without overflow.
+    Then every mode frequency and every pair difference is an integer of
+    magnitude at most 2^53, which float64 holds exactly.
     """
     phis = source.frequencies
     return (all(float(p).is_integer() for p in phis)
@@ -143,7 +139,7 @@ def integer_mode(source: Instance | ComplexCoefficients, q: int) -> bool:
 def rational_mode_expand(source: Instance | ComplexCoefficients,
                          q: int) -> SpectralExpansion:
     """expand, but raises NotIntegerError unless integer_mode(source, q) holds."""
-    validate_order(q)
+    q = validate_order(q)
     if not integer_mode(source, q):
         raise NotIntegerError(
             f"integer mode needs integer frequencies with 2q max|phi| <= 2^53, "
@@ -160,21 +156,20 @@ def _form(expansion: SpectralExpansion, kernel, shift: float, reach: float,
     merge_width reach > ENGINE_AGREEMENT_RTOL raises BadGapError.  K is
     real, even and largest at 0, so the form is real up to rounding; conj(b)
     enters as two real columns, so K is never cast to complex.  Row blocks
-    hold at most _ROW_CHUNK entries; integer frequencies subtract in int64
-    before the cast, so omega stays exact.
+    hold at most _ROW_CHUNK entries.
     """
     width = expansion.metadata.get("merge_width", 0.0)
     if width * reach > ENGINE_AGREEMENT_RTOL:
         raise BadGapError(
             f"{what}: merging modes {width!r} apart moves phases at |t| <= {reach!r}")
     f = expansion.freqs
-    b = expansion.amps * np.exp(1j * shift * f.astype(np.float64, copy=False))
+    b = expansion.amps * np.exp(1j * shift * f)
     conj_b = np.stack((b.real, -b.imag), axis=1)
     rows_per_chunk = max(1, _ROW_CHUNK // f.size)
     total = 0j
     for start in range(0, f.size, rows_per_chunk):
         rows = slice(start, start + rows_per_chunk)
-        k = kernel((f[rows, None] - f[None, :]).astype(np.float64, copy=False))
+        k = kernel(f[rows, None] - f[None, :])
         v = k @ conj_b
         total += complex(b[rows] @ (v[:, 0] + 1j * v[:, 1]))
     scale = float(np.abs(b).sum()) ** 2 * float(kernel(np.zeros(1))[0])
@@ -195,32 +190,23 @@ def integral_exact(expansion: SpectralExpansion, window: Window) -> float:
                  window.center, abs(window.center) + T, "integral_exact")
 
 
-def limit_moment(expansion: SpectralExpansion,
-                 resonance_tol: float | None = None) -> float:
-    """The T -> infinity windowed average: the form over pairs with |omega| <= tol.
+def limit_moment(expansion: SpectralExpansion) -> float:
+    """The T -> infinity windowed average: sum_k |A_k|^2 over the merged modes.
 
     For linearly independent frequencies this is the diagonal sum
     sum_k (q!/prod k_n!)^2 prod a_n^{2 k_n}.
     """
-    tol = (expansion.metadata.get("merge_tol", 0.0) if resonance_tol is None
-           else resonance_tol)
-    return _form(expansion, lambda om: (np.abs(om) <= tol).astype(np.float64),
-                 0.0, 0.0, "limit_moment")
+    return float(np.vdot(expansion.amps, expansion.amps).real)
 
 
-def resonance_gap(expansion: SpectralExpansion,
-                  resonance_tol: float | None = None) -> float:
-    """Smallest |omega| = |f_j - f_k| above the resonance tolerance (inf if none).
+def resonance_gap(expansion: SpectralExpansion) -> float:
+    """Smallest gap between consecutive mode frequencies (inf if one mode).
 
     Quantifies how large T must be before the finite-window average
     approaches limit_moment: the off-resonant error decays like 1/(T gap).
     """
-    tol = (expansion.metadata.get("merge_tol", 0.0) if resonance_tol is None
-           else resonance_tol)
     f = expansion.freqs
-    above = np.searchsorted(f, f + tol, side="right")
-    ok = above < f.size
-    return float((f[above[ok]] - f[ok]).min()) if ok.any() else math.inf
+    return float(np.diff(f).min()) if f.size > 1 else math.inf
 
 
 def fejer_weighted_exact(expansion: SpectralExpansion,

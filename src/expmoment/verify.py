@@ -22,6 +22,7 @@ from .core import (
     ExpMomentError,
     Instance,
     Window,
+    validate_order,
 )
 from .evaluate import Grid, abs_on_array
 from .fejer import KernelParams
@@ -136,6 +137,7 @@ def check_theorem1(instance: Instance, q: int, half_width: float,
                    config: QuadratureConfig = DEFAULT_CONFIG,
                    engine: str = "auto") -> VerificationReport:
     """(1/3)(sum a_n^2)^q <= (1/2T) integral_{|t|<=T} |S|^{2q} dt."""
+    q = validate_order(q)
     window = Window(0.0, half_width)
     energy = instance.energy()
     lhs = THEOREM_CONSTANT * energy ** q
@@ -155,6 +157,7 @@ def check_lemma(coeffs: ComplexCoefficients, q: int, half_width: float,
                 engine: str = "auto") -> VerificationReport:
     """Shifted-window majorization: the c-sum integral over |t - T0| <= T is
     at most 3x the a-sum integral over |t| <= T."""
+    q = validate_order(q)
     lhs, meta_l = _raw_window_integral(coeffs, q, Window(center, half_width),
                                        config, engine)
     rhs_int, meta_r = _raw_window_integral(coeffs.dominating, q,
@@ -167,6 +170,7 @@ def check_eq45(coeffs: ComplexCoefficients, q: int, half_width: float,
                shift: float, config: QuadratureConfig = DEFAULT_CONFIG,
                engine: str = "auto") -> VerificationReport:
     """Kernel-weighted domination: shifted c-sum value <= centered a-sum value."""
+    q = validate_order(q)
     lhs, meta_l = _raw_window_integral(coeffs, q, KernelParams(half_width, shift),
                                        config, engine)
     rhs, meta_r = _raw_window_integral(coeffs.dominating, q,

@@ -122,7 +122,7 @@ def power_coefficients(N: int, nu: int, limit: int | None = None) -> Coefficient
     factors of a product <= limit are themselves <= limit).  Raises
     OverflowRangeError when b_m <= d_nu(m) cannot be bounded inside int64.
     """
-    validate_order(nu)
+    nu = validate_order(nu)
     N = _as_int("N", N)
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -163,7 +163,7 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
     every intermediate d[m] is d_nu of a divisor of m, since the divide is
     exact, so it never exceeds the max.  The table is returned as int64.
     """
-    validate_order(nu)
+    nu = validate_order(nu)
     x = _as_int("x", x)
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -293,10 +293,10 @@ def corollary_lower_bound(N: int, nu: int, half_width: float,
 
     The moment lower bound is applied at order q = nu to the nu-th power of
     the partial sum, whose squared-coefficient sum is exactly
-    sum b_m^2/m.  The report also carries sum_{m<=N} d_nu(m)^2/m, the
-    intermediate quantity that grows like log^{nu^2} N.
+    sum b_m^2/m.  The report also carries sum_{m<=N} b_m^2/m, which is
+    sum_{m<=N} d_nu(m)^2/m and grows like log^{nu^2} N.
     """
-    validate_order(nu)
+    nu = validate_order(nu)
     table = power_coefficients(N, nu)
     coeff_sum = coefficient_square_sum(table)
     lhs = THEOREM_CONSTANT * coeff_sum
@@ -304,7 +304,7 @@ def corollary_lower_bound(N: int, nu: int, half_width: float,
     raw, meta = _raw_window_integral(instance, nu, Window(0.0, half_width),
                                      config, engine)
     rhs = raw / (2 * half_width)
-    intermediate = divisor_sum(N, nu)
+    intermediate = coefficient_square_sum(table, N)
     meta.update({"N": N, "nu": nu, "T": half_width,
                  "coefficient_square_sum": coeff_sum,
                  "divisor_square_sum_upto_N": intermediate,

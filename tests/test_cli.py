@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import shlex
 import warnings
 
 import pytest
@@ -222,12 +224,37 @@ def test_plotdata_overflow_is_invalid():
                  "--tmin", "0", "--tmax", "1", "--points", "3"]) == EXIT_INVALID
 
 
-def test_moment_wide_float_merge_is_invalid(capsys):
-    # Exact modes would give about 3.087; the merged ones gave 5.0.
+def test_moment_large_frequency_keeps_distinct_modes(capsys):
+    # A merge tolerance of 2 once joined the modes at 0 and 1.5 and refused.
     assert main(["moment", "--inline", "a=1,1,1;phi=0,1.5,2000000000.5",
+                 "--q", "1", "--T", "10"]) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert float(rec["spectral_exact"]) == pytest.approx(3.0867050453797953,
+                                                         rel=1e-12)
+
+
+def test_moment_wide_float_merge_is_invalid(capsys):
+    # Next to 2^60 the modes at 0 and 1e-3 merge; the window refuses them.
+    assert main(["moment", "--inline", "a=1,1,1;phi=0,0.001,1152921504606846976",
                  "--q", "1", "--T", "10"]) == EXIT_INVALID
     assert "integral_exact" in capsys.readouterr().err
 
 
 def test_budget_exit_code(capsys):
     assert main(["zeta", "--nu", "3", "--N", "1000"]) == EXIT_BUDGET
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # Every command of the README's CLI section exits 0, so a renamed
+    # subcommand or flag fails here; inst.json is the file it names.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line)[1:] for line in section.splitlines()
+                if line.startswith("expmoment ")]
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.json").write_text(json.dumps({"amplitudes": [1.0, 0.5],
+                                                    "frequencies": [0.0, 1.0]}))
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+        capsys.readouterr()

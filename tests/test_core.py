@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,10 @@ from expmoment.core import (
     validate_instance,
     validate_order,
 )
+from expmoment.quadrature import windowed_average
+from expmoment.rademacher import exact_even_moment
+from expmoment.spectral import expand
+from expmoment.verify import check_theorem1
 
 finite_amp = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 finite_freq = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -107,3 +113,22 @@ def test_validate_order():
     for bad in (0, -1, 1.5, True):
         with pytest.raises(NonFiniteError):
             validate_order(bad)
+
+
+def test_numpy_integer_order_is_accepted():
+    inst = validate_instance([1.0, 0.5], [0.0, 1.0])
+    order = validate_order(np.int64(2))
+    assert order == 2 and type(order) is int
+    report = check_theorem1(inst, np.int64(2), 1.0)
+    assert report.passed and json.loads(report.to_json_line())["q"] == 2
+    assert expand(inst, np.int64(2)).freqs.tolist() == [0.0, 1.0, 2.0]
+    window = Window(0.0, 1.0)
+    assert windowed_average(inst, np.int64(2), window).value == pytest.approx(
+        windowed_average(inst, 2, window).value, rel=1e-15)
+    assert exact_even_moment([1.0, 0.5], np.int64(2)) == exact_even_moment([1.0, 0.5], 2)
+    for bad in (2.0, True, np.float64(2.0)):
+        for call in (lambda q: check_theorem1(inst, q, 1.0), lambda q: expand(inst, q),
+                     lambda q: windowed_average(inst, q, window),
+                     lambda q: exact_even_moment([1.0, 0.5], q)):
+            with pytest.raises(NonFiniteError):
+                call(bad)

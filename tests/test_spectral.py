@@ -26,14 +26,14 @@ from expmoment.spectral import (
     resonance_gap,
 )
 from expmoment.verify import random_dominated, random_instance
+from expmoment.zeta import zeta_instance
 from tuple_sum_oracle import closed_form_cases
 
 
 def _two_sided(exp):
     """Brute-force spectrum of |S|^{2q}: every mode pair (j, k) at
     omega = f_j - f_k with coefficient A_j conj(A_k), grouped by exactly
-    equal omega (in int64 for integer modes).  Returns sorted omegas and
-    their summed coefficients."""
+    equal omega.  Returns sorted omegas and their summed coefficients."""
     omegas = np.subtract.outer(exp.freqs, exp.freqs).ravel()
     coeffs = np.multiply.outer(exp.amps, np.conj(exp.amps)).ravel()
     unique, inverse = np.unique(omegas, return_inverse=True)
@@ -161,11 +161,9 @@ def test_resonance_gap():
     assert resonance_gap(single) == math.inf
 
 
-def test_explicit_resonance_tol_above_merge_tol():
-    # Pair frequencies 0 (x3), +-0.5, +-1, +-1.5: tol 0.7 also counts +-0.5.
+def test_three_tone_limit_and_resonance_gap():
+    # Pair frequencies 0 (x3), +-0.5, +-1, +-1.5: only the diagonal survives.
     exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1.0, 1.5]), 1)
-    assert limit_moment(exp, resonance_tol=0.7) == pytest.approx(5.0, rel=1e-14)
-    assert resonance_gap(exp, resonance_tol=0.7) == pytest.approx(1.0, rel=1e-14)
     assert limit_moment(exp) == pytest.approx(3.0, rel=1e-14)
     assert resonance_gap(exp) == pytest.approx(0.5, rel=1e-14)
 
@@ -197,8 +195,7 @@ def test_rational_mode_examples():
     assert set(_two_sided(exp)[0].tolist()) <= set(float(k) for k in range(-4, 5))
     two = rational_mode_expand(validate_instance([1.0, 1.0], [0.0, 3.0]), 1)
     assert _two_sided(two)[0].tolist() == [-3.0, 0.0, 3.0]
-    assert limit_moment(two, resonance_tol=0.0) == pytest.approx(
-        _coeff_at(two, 0.0).real)
+    assert limit_moment(two) == pytest.approx(_coeff_at(two, 0.0).real)
 
 
 def test_rational_mode_rejects_non_integers():
@@ -233,21 +230,37 @@ def test_rational_matches_float_expand():
 
 
 def test_expand_goes_exact_on_integer_frequencies():
-    # A float merge tolerance of 1e-9 q max|phi| = 2 would join 0 and 1.
     exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1.0, 2e9]), 1)
-    assert exp.freqs.dtype == np.int64
+    assert exp.freqs.tolist() == [0.0, 1.0, 2e9]
     assert exp.metadata["exact_omegas"] and exp.metadata["merge_width"] == 0.0
     assert limit_moment(exp) == 3.0
     assert integral_exact(exp, Window(0.0, 10.0)) / 20.0 == pytest.approx(
         3.0 + 2.0 * math.sin(10.0) / 10.0, rel=1e-9)
 
 
-def test_wide_float_merge_is_refused():
-    # One large frequency widens the merge tolerance to 2, which joins the
-    # modes at 0 and 1.5: the window value would read 5.0, not about 3.087.
+def test_rounding_tolerance_keeps_distinct_modes():
+    # 2e9 + 0.5 widens the merge tolerance only to 4 eps 2e9 = 1.8e-6, so
+    # the modes at 0 and 1.5 stay apart (a tolerance of 2 joined them and
+    # gave a limit of 5.0 and a refused window).
     exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1.5, 2e9 + 0.5]), 1)
     assert not exp.metadata["exact_omegas"]
-    assert exp.metadata["merge_width"] == 1.5
+    assert exp.metadata["merge_width"] == 0.0
+    assert exp.freqs.tolist() == [0.0, 1.5, 2e9 + 0.5]
+    assert limit_moment(exp) == 3.0
+    assert resonance_gap(exp) == 1.5
+    T = 10.0
+    sinc_sum = sum(math.sin(T * w) / (T * w) for w in (1.5, 2e9 + 0.5, 2e9 - 1.0))
+    value = integral_exact(exp, Window(0.0, T)) / (2 * T)
+    assert value == pytest.approx(3.0 + 2.0 * sinc_sum, rel=1e-12)
+    assert value == pytest.approx(3.0867050453797953, rel=1e-12)
+
+
+def test_wide_float_merge_is_refused():
+    # Next to 2^60 the tolerance is 4 eps 2^60 = 1024, so 0 and 1e-3 merge
+    # into one mode; the window forms refuse rather than use it.
+    exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1e-3, 2.0 ** 60]), 1)
+    assert not exp.metadata["exact_omegas"]
+    assert exp.metadata["merge_width"] == 1e-3
     with pytest.raises(BadGapError):
         integral_exact(exp, Window(0.0, 10.0))
     with pytest.raises(BadGapError):
@@ -263,3 +276,15 @@ def test_merge_width_accepts_rounding_clusters():
     window = Window(40.0, 60.0)
     quad = windowed_average(inst, 2, window).value
     assert integral_exact(exp, window) / 120.0 == pytest.approx(quad, rel=1e-9)
+
+
+@pytest.mark.parametrize("N, q, modes", [(40, 2, 517), (60, 2, 1116), (80, 2, 1939),
+                                         (100, 2, 2906), (40, 3, 3919)])
+def test_zeta_mode_counts_and_merge_width(N, q, modes):
+    # log n sums that agree up to rounding (log 6 = log 2 + log 3) merge,
+    # and every cluster stays inside the rounding tolerance.
+    inst = zeta_instance(N)
+    exp = expand(inst, q)
+    assert exp.freqs.size == modes
+    tol = 4 * q * np.finfo(np.float64).eps * q * max(inst.frequencies)
+    assert 0.0 < exp.metadata["merge_width"] < tol

@@ -274,6 +274,20 @@ def test_coefficient_chain_inequality():
         assert trunc == pytest.approx(divisor_sum(n, nu), rel=1e-12)
 
 
+def test_corollary_reads_divisor_sum_from_its_own_table(monkeypatch):
+    # b_m = d_nu(m) for m <= N, so the b table's prefix sum is divisor_sum
+    # bit for bit, and the corollary sieves no divisor table of its own.
+    for n, nu in itertools.product((1, 2, 7, 30, 64), (1, 2, 3)):
+        assert coefficient_square_sum(power_coefficients(n, nu), n) == divisor_sum(n, nu)
+    expected = divisor_sum(30, 2)
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("corollary sieved a divisor table")
+    monkeypatch.setattr(zeta, "divisor_table", no_sieve)
+    rep = corollary_lower_bound(30, 2, 10.0)
+    assert rep.method["divisor_square_sum_upto_N"] == expected
+
+
 def test_zeta_instance():
     inst = zeta_instance(4)
     assert inst.amplitudes[0] == 1.0
