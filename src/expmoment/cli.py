@@ -92,6 +92,8 @@ def cmd_moment(args) -> int:
     rec = {"q": args.q, "T": args.T, "center": args.center, "engine": engine}
     rec.update({k: v if isinstance(v, str) else _fmt(v)
                 for k, v in results.items()})
+    if "auto" in meta:
+        rec["auto"] = meta["auto"]
     _emit(args, json.dumps(rec))
     return EXIT_OK if meta.get("engines_agree", True) else EXIT_VIOLATED
 

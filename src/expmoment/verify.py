@@ -29,6 +29,8 @@ from .fejer import KernelParams
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _constant_modulus,
+    bandlimit,
     fejer_weighted_integral,
     windowed_abs_average,
     windowed_average,
@@ -39,9 +41,10 @@ from . import spectral
 PASS_REL_SLACK = 1e-9
 PASS_ABS_SLACK = 1e-12
 
-# "auto" uses the exact engine when composition pairs C(N + q - 1, q)^2, an
-# upper bound on the mode pairs its Hermitian form evaluates, stay this few.
-_AUTO_SPECTRAL_PAIRS = 4_000_000
+# "auto" prices a spectral mode pair at _PAIR_COST Gauss term-points, fitted
+# on the benchmark (CHANGES.md).  _gauss_rule's panels have half-width about
+# _PANEL_HB / B at rel_tol 1e-9 (the envelope M(0) e^{By} alone gives 9-12).
+_PAIR_COST, _PANEL_HB = 4, 13
 
 #: The proof chain gives the windowed lower bound with constant 1/3:
 #: the shifted-window lemma contributes the covering factor 3 and the
@@ -81,20 +84,45 @@ def _summary(source) -> dict:
     return {"N": source.size, "kind": "instance", "energy": source.energy()}
 
 
+def _auto_engine(source, q: int, kernel: Window | KernelParams,
+                 config: QuadratureConfig) -> tuple[str, dict]:
+    """auto's engine and its reason: the cheaper of C(N + q - 1, q)^2 mode
+    pairs and gauss_order * panels * N term-points, unless an exemption
+    keeps it on the exact engine or off one that would refuse."""
+    n, band = source.size, bandlimit(source, q)
+    modes = math.comb(n + q - 1, q)
+    pieces, half = ((2, kernel.T / 2) if isinstance(kernel, KernelParams)
+                    else (1, kernel.half_width))
+    panels = pieces * max(1, math.ceil(half * band / _PANEL_HB))
+    spec, quad = _PAIR_COST * modes ** 2, config.gauss_order * panels * n
+    budget = spectral.DEFAULT_TERM_BUDGET
+    if spectral.integer_mode(source, q) and min(modes, int(band) + 1) ** 2 <= budget:
+        engine, reason = "spectral", "integer_mode"
+    elif _constant_modulus(source) is not None:
+        engine, reason = "quadrature", "constant_modulus"
+    elif panels > config.max_panels:
+        engine, reason = "spectral", "quadrature_over_max_panels"
+    elif modes ** 2 > budget:
+        engine, reason = "quadrature", "spectral_over_budget"
+    else:
+        engine, reason = "spectral" if spec <= quad else "quadrature", "cheaper"
+    return engine, {"reason": reason, "spectral_price": spec, "quadrature_price": quad}
+
+
 def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
                          config: QuadratureConfig,
                          engine: str) -> tuple[float, dict]:
     """Unnormalized integral of |S|^{2q} against a window or a Fejer kernel.
 
-    The one place that resolves engine names.
+    The one place that resolves engine names; meta["auto"] says why auto chose.
     """
+    meta: dict = {}
     if engine == "auto":
-        n = math.comb(source.size + q - 1, q)
-        engine = "spectral" if n * n <= _AUTO_SPECTRAL_PAIRS else "quadrature"
+        engine, meta["auto"] = _auto_engine(source, q, kernel, config)
     if engine not in ("spectral", "quadrature", "both"):
         raise ValueError(f"unknown engine {engine!r}")
     fejer = isinstance(kernel, KernelParams)
-    meta: dict = {"engine": engine}
+    meta["engine"] = engine
     if engine != "quadrature":
         expansion = spectral.expand(source, q)
         value = (spectral.fejer_weighted_exact(expansion, kernel) if fejer
@@ -126,8 +154,9 @@ def _two_sided(check: str, source, lhs: float, rhs: float, meta_l: dict,
     """
     meta = {"engine": meta_l["engine"], **fields}
     for side, m in (("lhs", meta_l), ("rhs", meta_r)):
-        if "disagreement" in m:
-            meta[f"{side}_disagreement"] = m["disagreement"]
+        for key in ("disagreement", "auto"):
+            if key in m:
+                meta[f"{side}_{key}"] = m[key]
     agree = meta_l.get("engines_agree", True) and meta_r.get("engines_agree", True)
     return VerificationReport(check, _summary(source), lhs, rhs, rhs - lhs,
                               inequality_holds(lhs, rhs) and agree, meta)

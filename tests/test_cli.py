@@ -10,6 +10,7 @@ from expmoment import spectral
 from expmoment.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
+    EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_VIOLATED,
     main,
@@ -72,6 +73,20 @@ def test_moment_output_reparses_exactly(two_tone, capsys):
     assert f"{v:.17g}" == rec["quadrature"]
 
 
+def test_moment_at_huge_window(capsys):
+    # At T = 1e8 the Gauss rule would need ~3e7 panels: auto runs spectral
+    # and says why, and quadrature alone stops at max_panels.
+    argv = ["moment", "--inline", "a=0.5,1,0.3;phi=0,1.3,-2.7", "--q", "3",
+            "--T", "1e8"]
+    assert main(argv) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["engine"] == "spectral"
+    assert rec["auto"]["reason"] == "quadrature_over_max_panels"
+    assert rec["auto"]["quadrature_price"] > rec["auto"]["spectral_price"]
+    assert main(argv + ["--engine", "quadrature"]) == EXIT_NOT_CONVERGED
+    assert capsys.readouterr().out == ""
+
+
 def test_moment_missing_instance_is_invalid(capsys):
     assert main(["moment", "--T", "1"]) == EXIT_INVALID
 
@@ -91,6 +106,8 @@ def test_verify_seeded_campaign_reproducible(capsys):
     assert len(lines) == 5
     assert all(rec["passed"] for rec in lines)
     assert all(rec["seed"] == 7 for rec in lines)
+    assert all(rec["auto"]["reason"] in ("integer_mode", "constant_modulus",
+                                         "cheaper") for rec in lines)
 
 
 def test_verify_eq45_single_instance(two_tone, capsys):

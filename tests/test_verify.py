@@ -9,10 +9,13 @@ from expmoment import verify, zeta
 from expmoment.core import (
     BadGapError,
     DegenerateCosineError,
+    TermBudgetExceededError,
+    Window,
     dominated_coefficients,
     validate_instance,
 )
 from expmoment.fejer import KernelParams
+from expmoment.quadrature import DEFAULT_CONFIG, bandlimit, windowed_average
 from expmoment.spectral import expand, fejer_weighted_exact
 from expmoment.verify import (
     check_bohr_bound,
@@ -249,9 +252,74 @@ def test_report_json_line_schema():
 
 
 def test_auto_engine_choice():
-    # auto prices C(N + q - 1, q)^2 composition pairs against 4e6: 3.3e6
-    # at zeta N = 60, nu = 2, and 6.2e6 at N = 70.
-    assert zeta.corollary_lower_bound(60, 2, 1e3).method["engine"] == "spectral"
-    assert zeta.corollary_lower_bound(70, 2, 1e3).method["engine"] == "quadrature"
-    engines = {rep.method["engine"] for _, rep in verify.campaign("theorem1", 25, 42)}
-    assert engines == {"spectral"}
+    # auto runs the cheaper of 4 C(N + q - 1, q)^2 and 16 N ceil(T B / 13):
+    # at zeta nu = 2, N = 40 they are 2.7e6 against 3.6e5 at T = 1e3 and
+    # 3.6e6 at T = 1e4.
+    for n in range(40, 81, 10):
+        method = zeta.corollary_lower_bound(n, 2, 1e3).method
+        assert (method["engine"], method["auto"]["reason"]) == ("quadrature", "cheaper")
+    method = zeta.corollary_lower_bound(40, 2, 1e4).method
+    assert (method["engine"], method["auto"]["reason"]) == ("spectral", "cheaper")
+    assert method["auto"]["spectral_price"] == 4 * 820 ** 2
+    # Integer frequencies run exact, whatever the prices.
+    for _, rep in verify.campaign("eq45", 25, 42):
+        assert rep.method["engine"] == "spectral" and rep.method["rational_mode"]
+        assert rep.method["lhs_auto"]["reason"] == "integer_mode"
+        assert rep.method["rhs_auto"]["reason"] == "integer_mode"
+    assert check_theorem1(validate_instance([1.0], [0.0]), 2, 10.0).method[
+        "auto"]["reason"] == "integer_mode"
+    # A constant |S| takes quadrature's shortcut.
+    for inst in (validate_instance([1.0], [0.5]), validate_instance([1.0, 2.0], [0.5, 0.5])):
+        method = check_theorem1(inst, 2, 10.0).method
+        assert (method["engine"], method["auto"]["reason"]) == (
+            "quadrature", "constant_modulus")
+
+
+def test_auto_avoids_the_spectral_budget():
+    # 150 random integer frequencies: S^2 has 11,311 modes, past the term
+    # budget's 1e4, while the window needs about 300 panels.
+    rng = np.random.default_rng(5)
+    inst = validate_instance([1.0] * 150, rng.integers(-10 ** 6, 10 ** 6, 150))
+    with pytest.raises(TermBudgetExceededError):
+        check_theorem1(inst, 2, 1e-3, engine="spectral")
+    rep = check_theorem1(inst, 2, 1e-3)
+    assert (rep.method["engine"], rep.method["auto"]["reason"]) == (
+        "quadrature", "spectral_over_budget")
+    assert rep.passed
+
+
+def test_auto_point_estimate_tracks_the_gauss_rule():
+    """auto's quadrature price stays within 2x of the points _gauss_rule
+    takes wherever T B >= 100, so its panel constant cannot go stale."""
+    cases = [(src, rep.method["q"], rep.method["T"])
+             for src, rep in verify.campaign("theorem1", 60, 42)]
+    cases += [(zeta.zeta_instance(n), 2, T) for n in (40, 80) for T in (1e3, 1e4)]
+    checked = 0
+    for source, q, T in cases:
+        if T * bandlimit(source, q) < 100:
+            continue
+        window = Window(0.0, T)
+        _, prices = verify._auto_engine(source, q, window, DEFAULT_CONFIG)
+        estimate = prices["quadrature_price"] / source.size
+        points = windowed_average(source, q, window).metadata["points"]
+        assert 0.5 <= estimate / points <= 2.0, (source, q, T)
+        checked += 1
+    assert checked >= 40
+
+
+def test_auto_matches_spectral_on_the_zeta_sweep():
+    for n in (40, 50, 60):
+        auto = zeta.corollary_lower_bound(n, 2, 1e3)
+        exact = zeta.corollary_lower_bound(n, 2, 1e3, engine="spectral")
+        assert auto.method["engine"] == "quadrature"
+        assert auto.rhs == pytest.approx(exact.rhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_theorem1_at_huge_window_runs_spectral(q):
+    # T = 1e8 needs ~3e7 panels, past max_panels, so auto runs spectral.
+    inst = validate_instance([0.5, 1.0, 0.3], [0.0, 1.3, -2.7])
+    rep = check_theorem1(inst, q, 1e8)
+    assert (rep.method["engine"], rep.method["auto"]["reason"]) == (
+        "spectral", "quadrature_over_max_panels")
+    assert rep.passed
