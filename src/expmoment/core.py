@@ -68,10 +68,6 @@ class NotIntegerError(ExpMomentError):
     pass
 
 
-class ImaginaryResidueError(ExpMomentError):
-    """A value that must be real came out with a large imaginary part."""
-
-
 class BadGapError(ExpMomentError):
     pass
 

@@ -4,9 +4,12 @@ S^q = sum_k A_k e^{i f_k t} is built by folding in one factor of
 S = sum_n c_n e^{it phi_n} at a time: every mode (f, A) of S^{r-1} spawns
 (f + phi_n, A c_n), and modes at the same frequency merge.  Then
 |S(t)|^{2q} = sum_{j,k} A_j conj(A_k) e^{i (f_j - f_k) t}, and every
-closed form is sum_{j,k} b_j K(f_j - f_k) conj(b_k) with b = A e^{i f shift}:
-only the kernel K changes.  It is 2T sinc for a window, T sinc^2 for the
-Fejer kernel, and the diagonal j = k, sum_k |A_k|^2, for the long-window limit.
+closed form is sum_{j,k} b_j K(f_k - f_j) conj(b_k) with b = A e^{i f shift}:
+only the kernel K changes.  K is even and the merged modes strictly increase,
+so the form is K(0) sum_k |b_k|^2 + 2 Re sum_{j<k} b_j K(f_k - f_j) conj(b_k),
+with K evaluated only at d = f_k - f_j > 0: 2 sin(T d)/d with K(0) = 2T for a
+window, 4 sin^2(T d/2)/(T d^2) with K(0) = T for the Fejer kernel.  The
+long-window limit keeps the diagonal alone, sum_k |A_k|^2.
 """
 from __future__ import annotations
 
@@ -20,19 +23,18 @@ from .core import (
     BadGapError,
     ComplexCoefficients,
     Instance,
-    ImaginaryResidueError,
     NotIntegerError,
     TermBudgetExceededError,
     Window,
     coefficient_values,
     validate_order,
 )
-from .fejer import KernelParams, kernel_hat
+from .fejer import KernelParams
 
 DEFAULT_TERM_BUDGET = 10 ** 8
 
 # Kernel entries (mode pairs) evaluated per numpy block.
-_ROW_CHUNK = 4_000_000
+_ROW_CHUNK = 2 ** 16
 
 # Bound on 2q max|phi| for exact integer-frequency expansion.
 _EXACT_INTEGER_LIMIT = 2 ** 53
@@ -147,16 +149,19 @@ def rational_mode_expand(source: Instance | ComplexCoefficients,
     return _expand(source, q, True)
 
 
-def _form(expansion: SpectralExpansion, kernel, shift: float, reach: float,
-          what: str) -> float:
-    """sum_{j,k} b_j K(f_j - f_k) conj(b_k) with b = A e^{i f shift}.
+def _form(expansion: SpectralExpansion, kernel, k0: float, shift: float,
+          reach: float, what: str) -> float:
+    """sum_{j,k} b_j K(f_k - f_j) conj(b_k) with b = A e^{i f shift}, k0 = K(0).
 
-    Merging moved each mode by at most merge_width, so each pair's phase on
-    the |t| <= reach that the kernel weighs by at most 2 merge_width reach;
-    merge_width reach > ENGINE_AGREEMENT_RTOL raises BadGapError.  K is
-    real, even and largest at 0, so the form is real up to rounding; conj(b)
-    enters as two real columns, so K is never cast to complex.  Row blocks
-    hold at most _ROW_CHUNK entries.
+    Summed as k0 sum_k |b_k|^2 + 2 sum_{j<k} K(f_k - f_j) B_j . B_k, where
+    B_j . B_k = Re(b_j conj(b_k)) over the two real columns B = (Re b, Im b),
+    so K is never cast to complex.  _merge leaves freqs strictly increasing,
+    so kernel only sees d = f_k - f_j > 0.  Row blocks hold at most
+    _ROW_CHUNK pairs: the triangle inside the block, then the rectangle to
+    its right.  Merging moved each mode by at most merge_width, so each
+    pair's phase on the |t| <= reach that the kernel weighs by at most
+    2 merge_width reach; merge_width reach > ENGINE_AGREEMENT_RTOL raises
+    BadGapError.
     """
     width = expansion.metadata.get("merge_width", 0.0)
     if width * reach > ENGINE_AGREEMENT_RTOL:
@@ -164,19 +169,21 @@ def _form(expansion: SpectralExpansion, kernel, shift: float, reach: float,
             f"{what}: merging modes {width!r} apart moves phases at |t| <= {reach!r}")
     f = expansion.freqs
     b = expansion.amps * np.exp(1j * shift * f)
-    conj_b = np.stack((b.real, -b.imag), axis=1)
-    rows_per_chunk = max(1, _ROW_CHUNK // f.size)
-    total = 0j
-    for start in range(0, f.size, rows_per_chunk):
-        rows = slice(start, start + rows_per_chunk)
-        k = kernel(f[rows, None] - f[None, :])
-        v = k @ conj_b
-        total += complex(b[rows] @ (v[:, 0] + 1j * v[:, 1]))
-    scale = float(np.abs(b).sum()) ** 2 * float(kernel(np.zeros(1))[0])
-    if abs(total.imag) > 1e-9 * max(scale, abs(total.real)):
-        raise ImaginaryResidueError(
-            f"{what}: imaginary residue {total.imag!r} vs scale {scale!r}")
-    return total.real
+    B = np.stack((b.real, b.imag), axis=1)
+    n = f.size
+    rows = max(1, min(n, _ROW_CHUNK // n))
+    upper = 0.0
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        j, k = np.triu_indices(stop - start, 1)
+        j += start
+        k += start
+        upper += (kernel(f[k] - f[j])
+                  * (b.real[j] * b.real[k] + b.imag[j] * b.imag[k])).sum()
+        if stop < n:
+            upper += np.vdot(B[start:stop],
+                             kernel(f[stop:] - f[start:stop, None]) @ B[stop:])
+    return float(k0 * (B * B).sum() + 2.0 * upper)
 
 
 def integral_exact(expansion: SpectralExpansion, window: Window) -> float:
@@ -186,7 +193,7 @@ def integral_exact(expansion: SpectralExpansion, window: Window) -> float:
     2 sin(omega T)/omega at omega = f_j - f_k, with 2T at omega = 0.
     """
     T = window.half_width
-    return _form(expansion, lambda om: 2.0 * T * np.sinc(om * (T / math.pi)),
+    return _form(expansion, lambda d: 2.0 * np.sin(T * d) / d, 2.0 * T,
                  window.center, abs(window.center) + T, "integral_exact")
 
 
@@ -216,5 +223,6 @@ def fejer_weighted_exact(expansion: SpectralExpansion,
     Each mode pair contributes A_j conj(A_k) e^{i omega H} Khat_T(omega), with
     Khat_T(omega) = 4 sin^2(omega T/2)/(T omega^2) = T sinc^2(omega T/(2 pi)).
     """
-    return _form(expansion, lambda om: kernel_hat(params, om), params.H,
-                 abs(params.H) + params.T, "fejer_weighted_exact")
+    T = params.T
+    return _form(expansion, lambda d: (2.0 * np.sin(0.5 * T * d) / d) ** 2 / T, T,
+                 params.H, abs(params.H) + T, "fejer_weighted_exact")

@@ -1,12 +1,12 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from expmoment.core import (
     BadGapError,
-    ImaginaryResidueError,
     NotIntegerError,
     TermBudgetExceededError,
     Window,
@@ -14,7 +14,8 @@ from expmoment.core import (
     validate_instance,
 )
 from expmoment.evaluate import eval_sum
-from expmoment.fejer import KernelParams
+from expmoment import spectral
+from expmoment.fejer import KernelParams, kernel_hat
 from expmoment.quadrature import windowed_average
 from expmoment.spectral import (
     _expand,
@@ -177,6 +178,69 @@ def test_closed_forms_match_mpmath_tuple_sum():
             assert integral_exact(exp, Window(shift, T)) == pytest.approx(win, rel=1e-12)
             assert fejer_weighted_exact(exp, KernelParams(T, shift)) \
                 == pytest.approx(fej, rel=1e-12)
+
+
+def _square_forms(exp, T, shift):
+    """The window and Fejer forms summed over the full modes x modes square,
+    with np.sinc and kernel_hat as the kernels."""
+    omega = np.subtract.outer(exp.freqs, exp.freqs)
+    b = exp.amps * np.exp(1j * shift * exp.freqs)
+    window = 2 * T * np.sinc(omega * (T / math.pi))
+    fejer = kernel_hat(KernelParams(T, shift), omega)
+    return [float((b @ k @ np.conj(b)).real) for k in (window, fejer)]
+
+
+def _form_cases():
+    rng = np.random.default_rng(1501)
+    yield expand(validate_instance([0.7], [2.5]), 3), 4.0, 1.3   # 1 mode
+    yield expand(validate_instance([1.0, 0.4], [0.0, 1.7]), 1), 2.5, -3.0
+    yield expand(validate_instance([0.9, 0.6, 0.3], [-0.4, 1.1, 2.9]), 3), 1.5, 7.0
+    yield expand(validate_instance([1.0, 0.5, 0.25, 0.7], [0, 1, 3, 7]), 2), 3.0, -0.6
+    for _ in range(100):
+        inst = random_instance(rng, max_n=6)
+        if rng.uniform() < 0.3:
+            inst = validate_instance(inst.amplitudes,
+                                     [float(v) for v in rng.integers(-9, 10, inst.size)])
+        yield (expand(inst, int(rng.integers(1, 4))), float(rng.uniform(0.1, 20.0)),
+               float(rng.uniform(-50.0, 50.0)))
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_blocked_triangle_matches_full_square(monkeypatch, rows):
+    # rows = 1: one-row blocks; rows = 3: blocks of three rows, the last one
+    # ragged where 3 does not divide the mode count; None: the default blocks.
+    sizes = set()
+    for exp, T, shift in _form_cases():
+        n = exp.freqs.size
+        sizes.add(n)
+        if rows is not None:
+            monkeypatch.setattr(spectral, "_ROW_CHUNK", rows * n)
+        values = (integral_exact(exp, Window(shift, T)),
+                  fejer_weighted_exact(exp, KernelParams(T, shift)))
+        for value, square in zip(values, _square_forms(exp, T, shift)):
+            assert type(value) is float  # np.float64 verdicts are np.bool_, not JSON
+            assert value == pytest.approx(square, rel=1e-13)
+    assert {1, 2, 10} <= sizes and any(n % 3 == 2 for n in sizes)
+
+
+def test_form_memory_stays_blocked():
+    # C(15, 4) = 1365 modes of S^4 over 12 generic frequencies.  The form
+    # must stay in blocks, not a modes x modes square (71 MiB with 4e6-entry
+    # blocks).
+    rng = np.random.default_rng(1502)
+    inst = validate_instance([float(a) for a in rng.uniform(0.1, 1.0, 12)],
+                             [float(p) for p in rng.uniform(-5.0, 5.0, 12)])
+    exp = expand(inst, 4)
+    assert exp.freqs.size == 1365
+    for form in (lambda: integral_exact(exp, Window(2.0, 3.0)),
+                 lambda: fejer_weighted_exact(exp, KernelParams(3.0, 2.0))):
+        tracemalloc.start()
+        try:
+            form()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
 
 def test_fejer_weighted_exact_examples():
