@@ -15,7 +15,7 @@ from .core import (
     validate_instance,
 )
 from .evaluate import eval_sum
-from .fejer import KernelParams, covering_deficit, kernel_hat, kernel_value
+from .fejer import KernelParams, kernel_hat, kernel_value
 from .quadrature import (
     QuadratureConfig,
     bandlimit,
@@ -23,12 +23,7 @@ from .quadrature import (
     windowed_abs_average,
     windowed_average,
 )
-from .rademacher import (
-    RademacherMoment,
-    exact_even_moment,
-    exhaustive_moment,
-    monte_carlo_moment,
-)
+from .rademacher import exact_even_moment, exhaustive_moment
 from .spectral import (
     SpectralExpansion,
     expand,
@@ -36,7 +31,6 @@ from .spectral import (
     integral_exact,
     limit_moment,
     rational_mode_expand,
-    resonance_gap,
 )
 from .verify import (
     VerificationReport,

@@ -154,9 +154,9 @@ def cmd_verify(args) -> int:
 
 def _parse_sweep(text: str) -> list[int]:
     try:
-        lo, hi, step = (int(float(v)) for v in text.split(":"))
-    except (ValueError, OverflowError):
-        raise ValueError(f"--sweep needs lo:hi:step, got {text!r}") from None
+        lo, hi, step = (zeta._as_int("--sweep", float(v)) for v in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--sweep needs integers lo:hi:step, got {text!r}") from None
     if step < 1 or hi < lo:
         raise ValueError(f"--sweep lo:hi:step needs lo <= hi and step >= 1, got {text!r}")
     return list(range(lo, hi + 1, step))
@@ -191,7 +191,7 @@ def cmd_zeta(args) -> int:
 def cmd_plotdata(args) -> int:
     instance = _load_instance(args)
     validate_order(args.q)
-    _check_overflow(instance, args.q)
+    _check_overflow(instance, 2 * args.q)
     if args.points < 1:
         raise ExpMomentError("need at least one grid point")
     ts = np.linspace(args.tmin, args.tmax, args.points)

@@ -166,10 +166,9 @@ class Window:
 
 @dataclass(frozen=True)
 class MomentResult:
-    """A windowed-moment value with its method tag and error estimate."""
+    """A windowed-moment value and its error estimate (metadata["error_kind"])."""
 
     value: float
-    method: str  # "quadrature" | "spectral_exact" | "monte_carlo"
     error_estimate: float
     metadata: dict = field(default_factory=dict, compare=False)
 

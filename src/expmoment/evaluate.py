@@ -31,12 +31,23 @@ def eval_sum(source: Instance | ComplexCoefficients, t: float) -> complex:
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
-def _check_overflow(source, q: int) -> None:
-    # (sum |c_n|)^{2q} is the pointwise maximum of |S|^{2q}; reject if it
-    # leaves the double range (callers may rescale: everything is homogeneous).
-    if source.amplitude_sum() > 10.0 ** (300.0 / (2 * q)):
+def _check_overflow(source, power: int, mass: float = 1.0) -> None:
+    """Raise OverflowRangeError when (sum |c_n|)^power * max(1, mass) > 1e300.
+
+    That bounds |S|^power times the kernel's mass, so every engine's values and
+    sums stay in the double range (callers may rescale: everything is
+    homogeneous).  It is taken in the log domain, and a sum that itself
+    leaves the double range is out of range.
+    """
+    try:
+        total = source.amplitude_sum()
+    except OverflowError:
+        total = math.inf
+    if total > 0 and (power * math.log(total) + math.log(max(1.0, mass))
+                      > 300 * math.log(10)):
         raise OverflowRangeError(
-            "amplitude sum too large for order q; rescale the amplitudes")
+            f"(sum |c_n|)^{power} * max(1, mass {mass!r}) exceeds 1e300; "
+            "rescale the amplitudes")
 
 
 # --------------------------------------------------------------------------

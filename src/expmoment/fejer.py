@@ -1,5 +1,4 @@
-"""The triangular (Fejer) kernel K_T, its Fourier transform, and the
-three-triangle covering of the window indicator.
+"""The triangular (Fejer) kernel K_T and its Fourier transform.
 
 Fourier convention: Khat(u) = integral K(t) e^{-iut} dt, which gives
 Khat_T(u) = 4 sin^2(uT/2) / (T u^2) >= 0, with zeros at u = 2 pi k / T
@@ -44,14 +43,3 @@ def kernel_hat(params: KernelParams, u):
     np.sinc is exact at u = 0, where the value is T.
     """
     return params.T * np.sinc(u * (params.T / (2 * math.pi))) ** 2
-
-
-def covering_deficit(params: KernelParams, t: float) -> float:
-    """[K_T(t-H) + K_T(t-H+T) + K_T(t-H-T)] - indicator(|t-H| <= T); >= 0."""
-    shifted = t - params.H
-    centered = KernelParams(params.T, 0.0)
-    cover = (kernel_value(centered, shifted)
-             + kernel_value(centered, shifted + params.T)
-             + kernel_value(centered, shifted - params.T))
-    indicator = 1.0 if abs(shifted) <= params.T else 0.0
-    return cover - indicator

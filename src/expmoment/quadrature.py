@@ -244,17 +244,16 @@ def windowed_average(source: Instance | ComplexCoefficients, q: int,
                      config: QuadratureConfig = DEFAULT_CONFIG) -> MomentResult:
     """(1/2T) * integral of |S(t)|^{2q} over |t - center| <= T."""
     q = validate_order(q)
-    _check_overflow(source, q)
     T = window.half_width
+    _check_overflow(source, 2 * q, 2 * T)
     modulus = _constant_modulus(source)
     if modulus is not None:
-        return MomentResult(float(modulus) ** (2 * q), "quadrature", 0.0,
-                            dict(_CONSTANT_META))
+        return MomentResult(float(modulus) ** (2 * q), 0.0, dict(_CONSTANT_META))
     # sum over the panels of h is T.
     value, bound, meta = _gauss_rule(lambda ts: power_on_array(source, ts, q),
                                      source, q, window.center - T, 1, T,
                                      lambda h, rho: T, 2 * T, config, 2 * T)
-    return MomentResult(max(0.0, value), "quadrature", bound, meta)
+    return MomentResult(max(0.0, value), bound, meta)
 
 
 def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,
@@ -269,12 +268,11 @@ def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,
     h * a/T gives a.
     """
     q = validate_order(q)
-    _check_overflow(source, q)
     T, H = params.T, params.H
+    _check_overflow(source, 2 * q, T)
     modulus = _constant_modulus(source)
     if modulus is not None:  # the kernel's area is T
-        return MomentResult(float(modulus) ** (2 * q) * T, "quadrature", 0.0,
-                            dict(_CONSTANT_META))
+        return MomentResult(float(modulus) ** (2 * q) * T, 0.0, dict(_CONSTANT_META))
 
     def f(ts: Grid) -> np.ndarray:
         return kernel_value(params, ts.points()) * power_on_array(source, ts, q)
@@ -282,7 +280,7 @@ def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,
     raw, bound, meta = _gauss_rule(f, source, q, H - T, 2, T / 2,
                                    lambda h, rho: T / 2 + h * (rho + 1 / rho) / 2,
                                    T, config)
-    return MomentResult(max(0.0, raw), "quadrature", bound, meta)
+    return MomentResult(max(0.0, raw), bound, meta)
 
 
 def windowed_abs_average(source: Instance | ComplexCoefficients,
@@ -294,14 +292,15 @@ def windowed_abs_average(source: Instance | ComplexCoefficients,
     than geometric; only the panels next to them keep halving.
     """
     T = window.half_width
+    _check_overflow(source, 1, 2 * T)
     modulus = _constant_modulus(source)
     if modulus is not None:
-        return MomentResult(float(modulus), "quadrature", 0.0,
+        return MomentResult(float(modulus), 0.0,
                             {"panels": 0, "constant": True,
                              "error_kind": "refinement_estimate"})
     scale = source.amplitude_sum() * (2 * T)
     value, err, panels = _adaptive(lambda ts: abs_on_array(source, ts),
                                    window.center - T, window.center + T,
                                    bandlimit(source, 1), config, scale, 2 * T)
-    return MomentResult(max(0.0, value), "quadrature", err,
+    return MomentResult(max(0.0, value), err,
                         {"panels": panels, "error_kind": "refinement_estimate"})

@@ -1,6 +1,5 @@
 """Moments of sign-randomized sums E|sum_n eps_n z_n|^{2q} for Rademacher
-signs eps_n: exact values, exhaustive enumeration over all sign vectors,
-and reproducible Monte Carlo.
+signs eps_n: exact values, and exhaustive enumeration over all sign vectors.
 
 The exact route folds in one term at a time.  With
 m[a, b] = E[X^a conj(X)^b] for a, b <= q, adding eps z to X gives
@@ -12,27 +11,13 @@ matrices binom(a, c) z^{a-c} at even and at odd a - c.  E|X|^{2q} = m[q, q].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .core import NonFiniteError, TooManySignsError, validate_order
 
 _MAX_EXHAUSTIVE = 24
 _SIGN_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class RademacherMoment:
-    value: float
-    method: str  # "exact_combinatorial" | "exhaustive" | "monte_carlo"
-    samples: int | None = None
-    std_error: float | None = None
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise NonFiniteError("moment must be >= 0")
 
 
 def _as_complex(values) -> np.ndarray:
@@ -80,34 +65,3 @@ def exhaustive_moment(values, q: int) -> float:
         s = signs @ z
         partials.append(float(np.sum((s.real * s.real + s.imag * s.imag) ** q)))
     return math.fsum(partials) / total
-
-
-def monte_carlo_moment(values, q: int, samples: int, seed: int) -> RademacherMoment:
-    """Unbiased sample mean of |sum eps z|^{2q}, reproducible from the seed.
-
-    Signs come from a counter-based Philox stream keyed by the seed, so the
-    realization depends only on (seed, sample index).
-    """
-    q = validate_order(q)
-    if samples < 1:
-        raise NonFiniteError("samples must be >= 1")
-    z = _as_complex(values)
-    rng = Generator(Philox(key=seed))
-    sums = []
-    sq_sums = []
-    done = 0
-    while done < samples:
-        m = min(_SIGN_CHUNK, samples - done)
-        signs = rng.integers(0, 2, size=(m, z.size)).astype(np.float64) * 2.0 - 1.0
-        s = signs @ z
-        vals = (s.real * s.real + s.imag * s.imag) ** q
-        sums.append(float(np.sum(vals)))
-        sq_sums.append(float(np.sum(vals * vals)))
-        done += m
-    mean = math.fsum(sums) / samples
-    if samples > 1:
-        var = max(0.0, (math.fsum(sq_sums) - samples * mean * mean) / (samples - 1))
-        std_error = math.sqrt(var / samples)
-    else:
-        std_error = None
-    return RademacherMoment(max(0.0, mean), "monte_carlo", samples, std_error)

@@ -13,7 +13,6 @@ long-window limit keeps the diagonal alone, sum_k |A_k|^2.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,16 +203,6 @@ def limit_moment(expansion: SpectralExpansion) -> float:
     sum_k (q!/prod k_n!)^2 prod a_n^{2 k_n}.
     """
     return float(np.vdot(expansion.amps, expansion.amps).real)
-
-
-def resonance_gap(expansion: SpectralExpansion) -> float:
-    """Smallest gap between consecutive mode frequencies (inf if one mode).
-
-    Quantifies how large T must be before the finite-window average
-    approaches limit_moment: the off-resonant error decays like 1/(T gap).
-    """
-    f = expansion.freqs
-    return float(np.diff(f).min()) if f.size > 1 else math.inf
 
 
 def fejer_weighted_exact(expansion: SpectralExpansion,

@@ -24,7 +24,7 @@ from .core import (
     Window,
     validate_order,
 )
-from .evaluate import Grid, abs_on_array
+from .evaluate import Grid, _check_overflow, abs_on_array
 from .fejer import KernelParams
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -70,7 +70,7 @@ class VerificationReport:
         rec.update({k: v for k, v in self.method.items()
                     if k not in ("engine", "seed")})
         rec["instance"] = self.instance_summary
-        return json.dumps(rec)
+        return json.dumps(rec, allow_nan=False)
 
 
 def inequality_holds(lhs: float, rhs: float) -> bool:
@@ -115,13 +115,16 @@ def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
     """Unnormalized integral of |S|^{2q} against a window or a Fejer kernel.
 
     The one place that resolves engine names; meta["auto"] says why auto chose.
+    Amplitudes out of range are refused before any engine is chosen.
     """
+    q = validate_order(q)
+    fejer = isinstance(kernel, KernelParams)
+    _check_overflow(source, 2 * q, kernel.T if fejer else 2 * kernel.half_width)
     meta: dict = {}
     if engine == "auto":
         engine, meta["auto"] = _auto_engine(source, q, kernel, config)
     if engine not in ("spectral", "quadrature", "both"):
         raise ValueError(f"unknown engine {engine!r}")
-    fejer = isinstance(kernel, KernelParams)
     meta["engine"] = engine
     if engine != "quadrature":
         expansion = spectral.expand(source, q)
@@ -211,6 +214,7 @@ def check_eq45(coeffs: ComplexCoefficients, q: int, half_width: float,
 
 def _grid_sup(instance: Instance, lo: float, hi: float, points: int) -> float:
     """max |S| over np.linspace(lo, hi, points): a Grid of whole rows, then a tail."""
+    _check_overflow(instance, 1)
     step = (hi - lo) / (points - 1)
     width = math.isqrt(points)
     rows = points // width

@@ -279,6 +279,7 @@ def growth_fit(nu: int = 2, xs=None) -> dict:
 
 def zeta_instance(N: int) -> Instance:
     """Amplitudes n^{-1/2} and frequencies log n for n = 1..N."""
+    N = _as_int("N", N)
     if N < 1:
         raise ValueError("N must be >= 1")
     amps = tuple(1.0 / math.sqrt(n) for n in range(1, N + 1))
@@ -296,7 +297,7 @@ def corollary_lower_bound(N: int, nu: int, half_width: float,
     sum b_m^2/m.  The report also carries sum_{m<=N} b_m^2/m, which is
     sum_{m<=N} d_nu(m)^2/m and grows like log^{nu^2} N.
     """
-    nu = validate_order(nu)
+    nu, N = validate_order(nu), _as_int("N", N)
     table = power_coefficients(N, nu)
     coeff_sum = coefficient_square_sum(table)
     lhs = THEOREM_CONSTANT * coeff_sum

@@ -166,7 +166,8 @@ def test_zeta_sweep(capsys):
     assert len(lines) == 4  # header + N in {5, 10, 15}
 
 
-@pytest.mark.parametrize("sweep", ["10:5:1", "5:15:0", "10:20", "a:b:c", "1:2:3:4"])
+@pytest.mark.parametrize("sweep", ["10:5:1", "5:15:0", "10:20", "a:b:c", "1:2:3:4",
+                                   "40.7:50:10", "inf:50:10"])
 def test_zeta_empty_sweep_is_invalid(sweep, capsys):
     assert main(["zeta", "--nu", "1", "--sweep", sweep,
                  "--T", "100"]) == EXIT_INVALID
@@ -239,6 +240,54 @@ def test_plotdata_overflow_is_invalid():
     # (sum a_n)^{2q} = (2e200)^4 leaves the double range.
     assert main(["plotdata", "--inline", "a=1e200,1e200;phi=0,1", "--q", "2",
                  "--tmin", "0", "--tmax", "1", "--points", "3"]) == EXIT_INVALID
+
+
+_HUGE = "a=1e200,1e200;phi=0,1.5"   # (sum a)^2 = 4e400
+_EDGE = "a=5e149,4e149;phi=0,1.5"   # (sum a)^2 = 8.1e299
+_TOP = "a=1e308,1e308;phi=0,1.5"    # sum a = 2e308
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--inline", _HUGE, "--T", "1"],
+    ["moment", "--inline", _HUGE, "--T", "1", "--engine", "spectral"],
+    ["moment", "--inline", _HUGE, "--T", "1", "--engine", "both"],
+    ["moment", "--inline", _HUGE, "--T", "1", "--engine", "quadrature"],
+    ["verify", "lemma", "--inline", _HUGE, "--T", "1"],
+    ["moment", "--inline", _EDGE, "--T", "1e9"],
+    ["moment", "--inline", _EDGE, "--T", "1e9", "--engine", "quadrature"],
+    ["verify", "theorem1", "--inline", _EDGE, "--T", "1e12"],
+    ["verify", "eq45", "--inline", _EDGE, "--T", "2e9"],
+    ["verify", "sup-chain", "--inline", _TOP],
+    ["verify", "ingham", "--inline", _TOP],
+    ["verify", "bohr", "--inline", "a=1e308,1e308;phi=1,1.5"],
+    ["plotdata", "--inline", _TOP, "--tmin", "0", "--tmax", "1", "--points", "3"],
+    ["moment", "--inline", _TOP, "--T", "1"],
+])
+def test_out_of_range_amplitudes_are_invalid(argv, capsys):
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceeds 1e300; rescale the amplitudes" in err
+
+
+def test_both_engines_agree_just_inside_the_range(capsys):
+    # (sum a)^2 * 2T = 9.72e299, just under the 1e300 guard.
+    assert main(["moment", "--inline", _EDGE, "--T", "0.6",
+                 "--engine", "both"]) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert math.isfinite(float(rec["spectral_exact"]))
+    assert float(rec["spectral_exact"]) > 7e299
+    assert float(rec["disagreement"]) <= 1e-12
+
+
+def test_verify_all_prints_strict_json(capsys):
+    def refuse(name):
+        raise ValueError(f"{name} in a report line")
+    assert main(["verify", "all", "--random", "25", "--seed", "42"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 150
+    for line in lines:
+        json.loads(line, parse_constant=refuse)
 
 
 def test_moment_large_frequency_keeps_distinct_modes(capsys):

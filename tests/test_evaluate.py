@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from expmoment.core import dominated_coefficients, validate_instance
+from expmoment.core import OverflowRangeError, dominated_coefficients, validate_instance
 from expmoment import verify
-from expmoment.evaluate import Grid, eval_sum, power_on_array, sum_on_array
+from expmoment.evaluate import (
+    Grid,
+    _check_overflow,
+    eval_sum,
+    power_on_array,
+    sum_on_array,
+)
 
 small_instances = st.builds(
     lambda amps, phis: validate_instance(amps[:min(len(amps), len(phis))],
@@ -136,3 +142,19 @@ def test_grid_sup_points_and_value(monkeypatch, lo, hi, points):
     assert pts[-1] == pytest.approx(hi, rel=1e-15)
     np.testing.assert_allclose(pts, expected, rtol=0, atol=1e-12 * (hi - lo))
     assert sup == pytest.approx(float(real(inst, expected).max()), rel=1e-12)
+
+
+def test_overflow_guard_in_log_domain():
+    # (sum |c|)^power * max(1, mass) against 1e300, with no float overflow on
+    # the way, even for complex parts near the top of the double range.
+    edge = validate_instance([5e149, 4e149], [0.0, 1.5])  # (sum a)^2 = 8.1e299
+    _check_overflow(edge, 2, 1.2)
+    _check_overflow(edge, 2, 1e-9)  # a mass below 1 counts as 1
+    _check_overflow(validate_instance([0.0, 0.0], [0.0, 1.0]), 6, 1e308)
+    top = validate_instance([1e308, 1e308], [0.0, 1.0])
+    near_top = dominated_coefficients([7e307 + 7e307j, 1.0], top)
+    for source, power, mass in ((edge, 2, 1.3), (edge, 3, 1.0), (top, 1, 1.0),
+                                (near_top, 1, 1.0),
+                                (validate_instance([1.0], [0.0]), 1, math.inf)):
+        with pytest.raises(OverflowRangeError):
+            _check_overflow(source, power, mass)

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from expmoment.fejer import KernelParams, covering_deficit, kernel_hat, kernel_value
+from expmoment.fejer import KernelParams, kernel_hat, kernel_value
 
 
 def test_kernel_value_examples():
@@ -81,6 +81,21 @@ def test_kernel_area_is_T():
             vals = [kernel_value(params, float(mid + half * x)) for x in nodes]
             total += half * float(np.dot(weights, vals))
         assert total == pytest.approx(T, rel=1e-10)
+
+
+def covering_deficit(params: KernelParams, t: float) -> float:
+    """[K_T(t-H) + K_T(t-H+T) + K_T(t-H-T)] - indicator(|t-H| <= T); >= 0.
+
+    The three-triangle covering of the window indicator, the step of the
+    shifted-window lemma's proof that gives its factor 3.
+    """
+    shifted = t - params.H
+    centered = KernelParams(params.T, 0.0)
+    cover = (kernel_value(centered, shifted)
+             + kernel_value(centered, shifted + params.T)
+             + kernel_value(centered, shifted - params.T))
+    indicator = 1.0 if abs(shifted) <= params.T else 0.0
+    return cover - indicator
 
 
 def test_covering_deficit_examples():

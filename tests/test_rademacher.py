@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 
 from expmoment.core import NonFiniteError, TooManySignsError
-from expmoment.rademacher import (
-    exact_even_moment,
-    exhaustive_moment,
-    monte_carlo_moment,
-)
+from expmoment.rademacher import exact_even_moment, exhaustive_moment
+from sign_moment_oracle import sign_moment
 
 
 def test_second_moment_identity():
@@ -91,26 +88,28 @@ def test_global_phase_and_sign_flip_invariance():
         assert exhaustive_moment(z * flips, q) == pytest.approx(base, rel=1e-12)
 
 
-def test_monte_carlo_deterministic_and_consistent():
-    rng = np.random.default_rng(10)
-    z = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    r1 = monte_carlo_moment(z, 2, 10 ** 5, seed=99)
-    r2 = monte_carlo_moment(z, 2, 10 ** 5, seed=99)
-    assert r1.value == r2.value  # bit-identical
-    truth = exhaustive_moment(z, 2)
-    assert abs(r1.value - truth) <= 4 * r1.std_error
+@pytest.mark.parametrize("complex_z", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_exact_matches_series_oracle_at_n_1000(q, complex_z):
+    rng = np.random.default_rng(100 + q)
+    z = rng.standard_normal(1000) + (1j * rng.standard_normal(1000) if complex_z else 0)
+    assert exact_even_moment(z, q) == pytest.approx(sign_moment(z, q), rel=1e-12)
 
 
-def test_monte_carlo_single_sample():
-    r = monte_carlo_moment([1.0, 2.0], 1, samples=1, seed=0)
-    assert r.samples == 1
-    assert r.std_error is None
-    assert r.value >= 0.0
+def test_series_oracle_matches_exhaustive():
+    assert sign_moment([1.0, 1.0], 2) == 8.0
+    rng = np.random.default_rng(21)
+    for case in range(24):
+        n, q = int(rng.integers(1, 13)), 1 + case % 4
+        z = rng.standard_normal(n) + (1j * rng.standard_normal(n) if case % 2 else 0)
+        assert sign_moment(z, q) == pytest.approx(exhaustive_moment(z, q), rel=1e-12)
 
 
-def test_monte_carlo_rejects_zero_samples():
-    with pytest.raises(NonFiniteError):
-        monte_carlo_moment([1.0], 1, samples=0, seed=0)
+@pytest.mark.parametrize("moment", [exact_even_moment, exhaustive_moment])
+def test_rejects_empty_and_non_finite(moment):
+    for values in ([], [1.0, math.nan], [complex(1.0, math.inf)]):
+        with pytest.raises(NonFiniteError):
+            moment(values, 1)
 
 
 def test_khintchine_ratio_single_coordinate():

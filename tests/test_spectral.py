@@ -24,7 +24,6 @@ from expmoment.spectral import (
     integral_exact,
     limit_moment,
     rational_mode_expand,
-    resonance_gap,
 )
 from expmoment.verify import random_dominated, random_instance
 from expmoment.zeta import zeta_instance
@@ -156,17 +155,18 @@ def test_limit_moment_lower_bound_and_homogeneity():
 
 
 def test_resonance_gap():
+    # The gaps between consecutive modes, which the merged modes keep > 0.
     exp = expand(validate_instance([1.0, 1.0], [0.0, 3.0]), 1)
-    assert resonance_gap(exp) == pytest.approx(3.0)
+    assert np.diff(exp.freqs).tolist() == [3.0]
     single = expand(validate_instance([1.0], [0.0]), 1)
-    assert resonance_gap(single) == math.inf
+    assert np.diff(single.freqs).size == 0
 
 
 def test_three_tone_limit_and_resonance_gap():
     # Pair frequencies 0 (x3), +-0.5, +-1, +-1.5: only the diagonal survives.
     exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1.0, 1.5]), 1)
     assert limit_moment(exp) == pytest.approx(3.0, rel=1e-14)
-    assert resonance_gap(exp) == pytest.approx(0.5, rel=1e-14)
+    assert np.diff(exp.freqs).min() == pytest.approx(0.5, rel=1e-14)
 
 
 def test_closed_forms_match_mpmath_tuple_sum():
@@ -311,7 +311,7 @@ def test_rounding_tolerance_keeps_distinct_modes():
     assert exp.metadata["merge_width"] == 0.0
     assert exp.freqs.tolist() == [0.0, 1.5, 2e9 + 0.5]
     assert limit_moment(exp) == 3.0
-    assert resonance_gap(exp) == 1.5
+    assert np.diff(exp.freqs).min() == 1.5
     T = 10.0
     sinc_sum = sum(math.sin(T * w) / (T * w) for w in (1.5, 2e9 + 0.5, 2e9 - 1.0))
     value = integral_exact(exp, Window(0.0, T)) / (2 * T)

@@ -295,6 +295,18 @@ def test_zeta_instance():
     assert inst.frequencies[1] == pytest.approx(math.log(2))
 
 
+def test_zeta_sizes_take_integral_floats():
+    assert zeta_instance(10.0) == zeta_instance(np.int64(10)) == zeta_instance(10)
+    float_rep = corollary_lower_bound(10.0, 2, 1e3)
+    int_rep = corollary_lower_bound(10, 2, 1e3)
+    assert (float_rep.lhs, float_rep.rhs) == (int_rep.lhs, int_rep.rhs)
+    assert float_rep.instance_summary == {"N": 10, "nu": 2}
+    for build in (lambda: zeta_instance(10.5),
+                  lambda: corollary_lower_bound(10.5, 2, 1e3)):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            build()
+
+
 def test_corollary_single_term():
     rep = corollary_lower_bound(1, 1, 10.0)
     assert rep.lhs == pytest.approx(1 / 3)
