@@ -49,19 +49,31 @@ def exact_even_moment(values, q: int) -> float:
     return float(m[q, q].real)
 
 
+def _signed_sums(z: np.ndarray) -> np.ndarray:
+    """All 2^len(z) sums sum_n eps_n z_n, by doubling one term at a time."""
+    sums = np.zeros(1, dtype=np.complex128)
+    for zn in z:
+        sums = np.concatenate((sums + zn, sums - zn))
+    return sums
+
+
 def exhaustive_moment(values, q: int) -> float:
-    """Average of |sum eps_n z_n|^{2q} over all 2^N sign vectors."""
+    """Average of |sum eps_n z_n|^{2q} over all 2^N sign vectors.
+
+    Every sign vector splits into its first h = N // 2 signs and the rest,
+    so the sums are L_a + R_b over the 2^h signed sums L of the first h
+    terms and the 2^(N-h) signed sums R of the others, summed in row blocks
+    of at most _SIGN_CHUNK entries.
+    """
     q = validate_order(q)
     z = _as_complex(values)
     n = z.size
     if n > _MAX_EXHAUSTIVE:
         raise TooManySignsError(f"2^{n} sign vectors is too many (max N={_MAX_EXHAUSTIVE})")
-    total = 1 << n
-    bit = np.arange(n, dtype=np.uint32)
+    left, right = _signed_sums(z[:n // 2]), _signed_sums(z[n // 2:])
+    rows = max(1, _SIGN_CHUNK // right.size)
     partials = []
-    for start in range(0, total, _SIGN_CHUNK):
-        idx = np.arange(start, min(start + _SIGN_CHUNK, total), dtype=np.uint32)
-        signs = 1.0 - 2.0 * ((idx[:, None] >> bit[None, :]) & 1)
-        s = signs @ z
+    for start in range(0, left.size, rows):
+        s = left[start:start + rows, None] + right
         partials.append(float(np.sum((s.real * s.real + s.imag * s.imag) ** q)))
-    return math.fsum(partials) / total
+    return math.fsum(partials) / (1 << n)

@@ -8,8 +8,13 @@ closed form is sum_{j,k} b_j K(f_k - f_j) conj(b_k) with b = A e^{i f shift}:
 only the kernel K changes.  K is even and the merged modes strictly increase,
 so the form is K(0) sum_k |b_k|^2 + 2 Re sum_{j<k} b_j K(f_k - f_j) conj(b_k),
 with K evaluated only at d = f_k - f_j > 0: 2 sin(T d)/d with K(0) = 2T for a
-window, 4 sin^2(T d/2)/(T d^2) with K(0) = T for the Fejer kernel.  The
-long-window limit keeps the diagonal alone, sum_k |A_k|^2.
+window, 4 sin^2(T d/2)/(T d^2) with K(0) = T for the Fejer kernel.  Both
+need sin(theta d) (theta = T, T/2).  Pairs in different row blocks whose
+gap d passes a cut of at most 0.018 (max|f| + 4/T) take it by angle
+addition, s_k c_j - c_k s_j, from s = sin(theta f) and c = cos(theta f)
+computed once per mode, so they need no transcendental; closer pairs and
+those within a block take sin(theta d) directly (_form states the bound).
+The long-window limit keeps the diagonal alone, sum_k |A_k|^2.
 """
 from __future__ import annotations
 
@@ -148,19 +153,36 @@ def rational_mode_expand(source: Instance | ComplexCoefficients,
     return _expand(source, q, True)
 
 
-def _form(expansion: SpectralExpansion, kernel, k0: float, shift: float,
-          reach: float, what: str) -> float:
-    """sum_{j,k} b_j K(f_k - f_j) conj(b_k) with b = A e^{i f shift}, k0 = K(0).
+def _form(expansion: SpectralExpansion, theta: float, power: int,
+          shift: float, reach: float, what: str) -> float:
+    """sum_{j,k} b_j K(f_k - f_j) conj(b_k) with b = A e^{i f shift}.
 
+    K(d) = k0 (sin(theta d)/(theta d))^power, k0 = K(0) = 2 theta: the
+    window's 2 sin(T d)/d at theta = T, power 1, and the Fejer kernel's
+    4 sin^2(T d/2)/(T d^2) at theta = T/2, power 2.
     Summed as k0 sum_k |b_k|^2 + 2 sum_{j<k} K(f_k - f_j) B_j . B_k, where
     B_j . B_k = Re(b_j conj(b_k)) over the two real columns B = (Re b, Im b),
     so K is never cast to complex.  _merge leaves freqs strictly increasing,
     so kernel only sees d = f_k - f_j > 0.  Row blocks hold at most
     _ROW_CHUNK pairs: the triangle inside the block, then the rectangle to
-    its right.  Merging moved each mode by at most merge_width, so each
-    pair's phase on the |t| <= reach that the kernel weighs by at most
-    2 merge_width reach; merge_width reach > ENGINE_AGREEMENT_RTOL raises
-    BadGapError.
+    its right.
+
+    The rectangle takes sin(theta d) by angle addition, s_k c_j - c_k s_j
+    with s = sin(theta f) and c = cos(theta f) computed once per mode.  Each
+    of s, c errs by at most u (theta |f| + 1), u = eps/2; as |s| + |c| <=
+    sqrt 2 and the products and the difference add 3u, the numerator errs by
+    at most 2 sqrt(2) u (theta max|f| + 1) + 3u <= e = 4u (theta max|f| + 2).
+    That moves sinc(theta d) = sin(theta d)/(theta d) by y = e/(theta d),
+    and K/k0 = sinc^power by at most y (power + y), as |sinc| <= 1.  That
+    is at most 1e-13 when y <= 1e-13/(2 power), that is when
+    d >= cut = 4 power eps (max|f| + 2/theta)/1e-13.  The modes are sorted,
+    so a block's pairs with d < cut lie in the rectangle's first columns,
+    up to f_k <= f_last + cut; that strip takes sin(theta d) directly, as
+    the triangle does.
+
+    Merging moved each mode by at most merge_width, so each pair's phase on
+    the |t| <= reach that the kernel weighs by at most 2 merge_width reach;
+    merge_width reach > ENGINE_AGREEMENT_RTOL raises BadGapError.
     """
     width = expansion.metadata.get("merge_width", 0.0)
     if width * reach > ENGINE_AGREEMENT_RTOL:
@@ -170,6 +192,14 @@ def _form(expansion: SpectralExpansion, kernel, k0: float, shift: float,
     b = expansion.amps * np.exp(1j * shift * f)
     B = np.stack((b.real, b.imag), axis=1)
     n = f.size
+    k0 = 2.0 * theta
+
+    def kernel(x, d):  # K(d) from x = sin(theta d)
+        k = 2.0 * x / d
+        return k if power == 1 else k * k / k0
+
+    s, c = np.sin(theta * f), np.cos(theta * f)
+    cut = 4 * power * np.finfo(np.float64).eps * (np.abs(f).max() + 2 / theta) / 1e-13
     rows = max(1, min(n, _ROW_CHUNK // n))
     upper = 0.0
     for start in range(0, n, rows):
@@ -177,11 +207,15 @@ def _form(expansion: SpectralExpansion, kernel, k0: float, shift: float,
         j, k = np.triu_indices(stop - start, 1)
         j += start
         k += start
-        upper += (kernel(f[k] - f[j])
+        d = f[k] - f[j]
+        upper += (kernel(np.sin(theta * d), d)
                   * (b.real[j] * b.real[k] + b.imag[j] * b.imag[k])).sum()
         if stop < n:
-            upper += np.vdot(B[start:stop],
-                             kernel(f[stop:] - f[start:stop, None]) @ B[stop:])
+            d = f[stop:] - f[start:stop, None]
+            x = s[stop:] * c[start:stop, None] - c[stop:] * s[start:stop, None]
+            near = np.searchsorted(f, f[stop - 1] + cut, side="right") - stop
+            x[:, :near] = np.sin(theta * d[:, :near])
+            upper += np.vdot(B[start:stop], kernel(x, d) @ B[stop:])
     return float(k0 * (B * B).sum() + 2.0 * upper)
 
 
@@ -192,8 +226,8 @@ def integral_exact(expansion: SpectralExpansion, window: Window) -> float:
     2 sin(omega T)/omega at omega = f_j - f_k, with 2T at omega = 0.
     """
     T = window.half_width
-    return _form(expansion, lambda d: 2.0 * np.sin(T * d) / d, 2.0 * T,
-                 window.center, abs(window.center) + T, "integral_exact")
+    return _form(expansion, T, 1, window.center, abs(window.center) + T,
+                 "integral_exact")
 
 
 def limit_moment(expansion: SpectralExpansion) -> float:
@@ -213,5 +247,5 @@ def fejer_weighted_exact(expansion: SpectralExpansion,
     Khat_T(omega) = 4 sin^2(omega T/2)/(T omega^2) = T sinc^2(omega T/(2 pi)).
     """
     T = params.T
-    return _form(expansion, lambda d: (2.0 * np.sin(0.5 * T * d) / d) ** 2 / T, T,
-                 params.H, abs(params.H) + T, "fejer_weighted_exact")
+    return _form(expansion, 0.5 * T, 2, params.H, abs(params.H) + T,
+                 "fejer_weighted_exact")

@@ -21,6 +21,7 @@ from .core import (
     DegenerateCosineError,
     ExpMomentError,
     Instance,
+    OverflowRangeError,
     Window,
     validate_order,
 )
@@ -337,6 +338,10 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
                                          for j in range(n + 1, big_n + 1)))
     sup_s = _grid_sup(instance, -t_max, t_max,
                       _sup_grid_points(instance, 2 * t_max))
+    if sup_s > product * 1e300:
+        raise OverflowRangeError(
+            f"sup|S| / cosine product = {sup_s!r} / {product!r} exceeds 1e300; "
+            "rescale the amplitudes")
     lhs = instance.amplitudes[n - 1]
     rhs = sup_s / product
     meta = {"engine": "grid", "index": n, "cos_product": product,

@@ -245,6 +245,9 @@ def test_plotdata_overflow_is_invalid():
 _HUGE = "a=1e200,1e200;phi=0,1.5"   # (sum a)^2 = 4e400
 _EDGE = "a=5e149,4e149;phi=0,1.5"   # (sum a)^2 = 8.1e299
 _TOP = "a=1e308,1e308;phi=0,1.5"    # sum a = 2e308
+# sum a = 4e299 is inside the guard, but Bohr's rhs sup|S| / (cosine product
+# 7.7e-12) is not.
+_BOHR = "a=1e299,1e299,1e299,1e299;phi=1,1.0001,1.0002,1.0003"
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,6 +265,7 @@ _TOP = "a=1e308,1e308;phi=0,1.5"    # sum a = 2e308
     ["verify", "bohr", "--inline", "a=1e308,1e308;phi=1,1.5"],
     ["plotdata", "--inline", _TOP, "--tmin", "0", "--tmax", "1", "--points", "3"],
     ["moment", "--inline", _TOP, "--T", "1"],
+    ["verify", "bohr", "--inline", _BOHR, "--index", "2"],
 ])
 def test_out_of_range_amplitudes_are_invalid(argv, capsys):
     assert main(argv) == EXIT_INVALID

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,27 @@ def test_exhaustive_trivials():
     assert exhaustive_moment([0.0, 0.0, 0.0], 2) == 0.0
     with pytest.raises(TooManySignsError):
         exhaustive_moment([1.0] * 25, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 16])
+def test_exhaustive_halves_match_series_oracle(n):
+    # N = 1 leaves the first half empty; odd N = 13 splits 6 + 7.
+    rng = np.random.default_rng(1700 + n)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for q in (1, 2, 5):
+        assert exhaustive_moment(z, q) == pytest.approx(sign_moment(z, q), rel=1e-12)
+    assert exhaustive_moment(np.zeros(n), 3) == 0.0
+
+
+def test_too_many_signs_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManySignsError):
+            exhaustive_moment(np.ones(25), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 14  # 2^12 sums of one half alone take 64 KiB
 
 
 def test_global_phase_and_sign_flip_invariance():

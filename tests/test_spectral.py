@@ -223,6 +223,78 @@ def test_blocked_triangle_matches_full_square(monkeypatch, rows):
     assert {1, 2, 10} <= sizes and any(n % 3 == 2 for n in sizes)
 
 
+def _ladder(q):
+    """Gaps from 1.5 merge tolerances up to 4.  The strip's cut,
+    4 p eps (max|f| + 2/theta)/1e-13 with p = 1 or 2, is 0.067 to 0.37 at the
+    T used, so gaps lie on both sides of it."""
+    phis = [0.0, 2.0, 3.5, 7.5]
+    tol = 4 * q * np.finfo(np.float64).eps * q * max(phis)
+    phis += [2.0 + g for g in (1.5 * tol, 1e-12, 1e-8, 1e-4, 1e-2, 3e-2, 0.1, 0.3)]
+    phis.sort()
+    return validate_instance([1.0 / (1 + i) for i in range(len(phis))], phis)
+
+
+def _angle_addition_cases():
+    rng = np.random.default_rng(1701)
+    for q in (1, 2):
+        exp = expand(_ladder(q), q)
+        assert not exp.metadata["exact_omegas"]
+        for T in (0.7, 40.0, 1e4, 1e6):
+            yield exp, T, float(rng.uniform(-5.0, 5.0))
+    # Integer modes up to 1e4 at T = 1e4: T max|f| = 1e8.
+    for size in (8, 24):
+        phis = sorted({int(v) for v in rng.integers(-5000, 5001, size)} | {5000, -5000})
+        inst = validate_instance([float(a) for a in rng.uniform(0.1, 1.0, len(phis))],
+                                 [float(v) for v in phis])
+        exp = expand(inst, 2)
+        assert exp.metadata["exact_omegas"] and np.abs(exp.freqs).max() == 1e4
+        for T in (3.0, 1e4):
+            yield exp, T, float(rng.uniform(-5.0, 5.0))
+    yield expand(zeta_instance(40), 2), 1e4, 0.0
+
+
+@pytest.mark.parametrize("rows", [1, None])
+def test_angle_addition_matches_full_square(monkeypatch, rows):
+    # rows = 1: every pair is in a rectangle, and the cut alone decides
+    # between angle addition and the direct sin; None: the default blocks.
+    for exp, T, shift in _angle_addition_cases():
+        n = exp.freqs.size
+        if rows is not None:
+            monkeypatch.setattr(spectral, "_ROW_CHUNK", rows * n)
+        values = (integral_exact(exp, Window(shift, T)),
+                  fejer_weighted_exact(exp, KernelParams(T, shift)))
+        norm = limit_moment(exp)
+        for value, direct, k0 in zip(values, _square_forms(exp, T, shift), (2 * T, T)):
+            assert abs(value - direct) <= 1e-13 * k0 * norm, (n, T)
+
+
+@pytest.mark.parametrize("N, T", [(60, 1e4), (100, 1e5)])
+def test_form_takes_sin_per_mode_not_per_pair(monkeypatch, N, T):
+    # sin and cos once per mode, plus sin on each block's triangle and on
+    # the strip of pairs closer than the cut; about n^2/2 entries without
+    # angle addition.
+    exp = expand(zeta_instance(N), 2)
+    f = exp.freqs
+    n = f.size
+    seen = []
+    for name in ("sin", "cos"):
+        monkeypatch.setattr(np, name, lambda x, _ufunc=getattr(np, name):
+                            (seen.append(np.size(x)), _ufunc(x))[1])
+    rows = spectral._ROW_CHUNK // n
+    for form, theta, power in ((lambda: integral_exact(exp, Window(1.0, T)), T, 1),
+                               (lambda: fejer_weighted_exact(exp, KernelParams(T, 1.0)),
+                                T / 2, 2)):
+        seen.clear()
+        form()
+        cut = 4 * power * np.finfo(np.float64).eps * (f.max() + 2 / theta) / 1e-13
+        expected = 2 * n
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            near = np.searchsorted(f, f[stop - 1] + cut, side="right") - stop
+            expected += (stop - start) * (stop - start - 1) // 2 + (stop - start) * near
+        assert sum(seen) == expected < n * n / 10
+
+
 def test_form_memory_stays_blocked():
     # C(15, 4) = 1365 modes of S^4 over 12 generic frequencies.  The form
     # must stay in blocks, not a modes x modes square (71 MiB with 4e6-entry
