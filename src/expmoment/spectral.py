@@ -9,11 +9,11 @@ only the kernel K changes.  K is even and the merged modes strictly increase,
 so the form is K(0) sum_k |b_k|^2 + 2 Re sum_{j<k} b_j K(f_k - f_j) conj(b_k),
 with K evaluated only at d = f_k - f_j > 0: 2 sin(T d)/d with K(0) = 2T for a
 window, 4 sin^2(T d/2)/(T d^2) with K(0) = T for the Fejer kernel.  Both
-need sin(theta d) (theta = T, T/2).  Pairs in different row blocks whose
-gap d passes a cut of at most 0.018 (max|f| + 4/T) take it by angle
-addition, s_k c_j - c_k s_j, from s = sin(theta f) and c = cos(theta f)
-computed once per mode, so they need no transcendental; closer pairs and
-those within a block take sin(theta d) directly (_form states the bound).
+need sin(theta d) (theta = T, T/2).  Pairs whose gap d passes a cut of at
+most 0.018 (max|f| + 4/T) take it by angle addition, s_k c_j - c_k s_j,
+from s = sin(theta f) and c = cos(theta f) computed once per mode, so they
+need no transcendental; closer pairs take sin(theta d) directly (_form
+states the bound).
 The long-window limit keeps the diagonal alone, sum_k |A_k|^2.
 """
 from __future__ import annotations
@@ -163,11 +163,12 @@ def _form(expansion: SpectralExpansion, theta: float, power: int,
     Summed as k0 sum_k |b_k|^2 + 2 sum_{j<k} K(f_k - f_j) B_j . B_k, where
     B_j . B_k = Re(b_j conj(b_k)) over the two real columns B = (Re b, Im b),
     so K is never cast to complex.  _merge leaves freqs strictly increasing,
-    so kernel only sees d = f_k - f_j > 0.  Row blocks hold at most
-    _ROW_CHUNK pairs: the triangle inside the block, then the rectangle to
-    its right.
+    so the pairs j < k are those with d = f_k - f_j > 0.  Each block of rows
+    [start, stop) is one rectangle over the columns [start + 1, n), of at
+    most _ROW_CHUNK entries; its entries with d <= 0 get d = inf, so their
+    kernel is exactly 0.
 
-    The rectangle takes sin(theta d) by angle addition, s_k c_j - c_k s_j
+    A pair takes sin(theta d) by angle addition, s_k c_j - c_k s_j
     with s = sin(theta f) and c = cos(theta f) computed once per mode.  Each
     of s, c errs by at most u (theta |f| + 1), u = eps/2; as |s| + |c| <=
     sqrt 2 and the products and the difference add 3u, the numerator errs by
@@ -175,10 +176,8 @@ def _form(expansion: SpectralExpansion, theta: float, power: int,
     That moves sinc(theta d) = sin(theta d)/(theta d) by y = e/(theta d),
     and K/k0 = sinc^power by at most y (power + y), as |sinc| <= 1.  That
     is at most 1e-13 when y <= 1e-13/(2 power), that is when
-    d >= cut = 4 power eps (max|f| + 2/theta)/1e-13.  The modes are sorted,
-    so a block's pairs with d < cut lie in the rectangle's first columns,
-    up to f_k <= f_last + cut; that strip takes sin(theta d) directly, as
-    the triangle does.
+    d >= cut = 4 power eps (max|f| + 2/theta)/1e-13.  A pair with
+    0 < d < cut takes sin(theta d) directly.
 
     Merging moved each mode by at most merge_width, so each pair's phase on
     the |t| <= reach that the kernel weighs by at most 2 merge_width reach;
@@ -202,20 +201,14 @@ def _form(expansion: SpectralExpansion, theta: float, power: int,
     cut = 4 * power * np.finfo(np.float64).eps * (np.abs(f).max() + 2 / theta) / 1e-13
     rows = max(1, min(n, _ROW_CHUNK // n))
     upper = 0.0
-    for start in range(0, n, rows):
+    for start in range(0, n - 1, rows):
         stop = min(start + rows, n)
-        j, k = np.triu_indices(stop - start, 1)
-        j += start
-        k += start
-        d = f[k] - f[j]
-        upper += (kernel(np.sin(theta * d), d)
-                  * (b.real[j] * b.real[k] + b.imag[j] * b.imag[k])).sum()
-        if stop < n:
-            d = f[stop:] - f[start:stop, None]
-            x = s[stop:] * c[start:stop, None] - c[stop:] * s[start:stop, None]
-            near = np.searchsorted(f, f[stop - 1] + cut, side="right") - stop
-            x[:, :near] = np.sin(theta * d[:, :near])
-            upper += np.vdot(B[start:stop], kernel(x, d) @ B[stop:])
+        d = f[start + 1:] - f[start:stop, None]
+        d[d <= 0] = np.inf
+        x = s[start + 1:] * c[start:stop, None] - c[start + 1:] * s[start:stop, None]
+        near = d < cut
+        x[near] = np.sin(theta * d[near])
+        upper += np.vdot(B[start:stop], kernel(x, d) @ B[start + 1:])
     return float(k0 * (B * B).sum() + 2.0 * upper)
 
 

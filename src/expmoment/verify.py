@@ -79,10 +79,11 @@ def inequality_holds(lhs: float, rhs: float) -> bool:
 
 
 def _summary(source) -> dict:
-    if isinstance(source, ComplexCoefficients):
-        return {"N": source.size, "kind": "complex",
-                "energy": source.dominating.energy()}
-    return {"N": source.size, "kind": "instance", "energy": source.energy()}
+    complex_ = isinstance(source, ComplexCoefficients)
+    # sum a_n^2 overflows above a_n ~ 1.3e154; checks of power 1 run up to 1e300.
+    energy = (source.dominating if complex_ else source).energy()
+    return {"N": source.size, "kind": "complex" if complex_ else "instance",
+            "energy": energy if math.isfinite(energy) else None}
 
 
 def _auto_engine(source, q: int, kernel: Window | KernelParams,

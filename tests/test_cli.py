@@ -274,6 +274,22 @@ def test_out_of_range_amplitudes_are_invalid(argv, capsys):
     assert "exceeds 1e300; rescale the amplitudes" in err
 
 
+def _refuse_constant(name):  # json's hook for NaN, Infinity and -Infinity
+    raise ValueError(f"{name} in a report line")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sup-chain", "--inline", _HUGE],
+    ["verify", "bohr", "--inline",
+     "a=1e280,1e280,1e280,1e280;phi=1,1.0001,1.0002,1.0003", "--index", "2"],
+])
+def test_power_one_checks_past_the_energy_overflow(argv, capsys):
+    # sum a_n^2 overflows, but these checks only need sum a_n <= 1e300.
+    assert main(argv) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert rec["passed"] and rec["instance"]["energy"] is None
+
+
 def test_both_engines_agree_just_inside_the_range(capsys):
     # (sum a)^2 * 2T = 9.72e299, just under the 1e300 guard.
     assert main(["moment", "--inline", _EDGE, "--T", "0.6",
@@ -285,13 +301,11 @@ def test_both_engines_agree_just_inside_the_range(capsys):
 
 
 def test_verify_all_prints_strict_json(capsys):
-    def refuse(name):
-        raise ValueError(f"{name} in a report line")
     assert main(["verify", "all", "--random", "25", "--seed", "42"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 150
     for line in lines:
-        json.loads(line, parse_constant=refuse)
+        json.loads(line, parse_constant=_refuse_constant)
 
 
 def test_moment_large_frequency_keeps_distinct_modes(capsys):

@@ -224,7 +224,7 @@ def test_blocked_triangle_matches_full_square(monkeypatch, rows):
 
 
 def _ladder(q):
-    """Gaps from 1.5 merge tolerances up to 4.  The strip's cut,
+    """Gaps from 1.5 merge tolerances up to 4.  The form's cut,
     4 p eps (max|f| + 2/theta)/1e-13 with p = 1 or 2, is 0.067 to 0.37 at the
     T used, so gaps lie on both sides of it."""
     phis = [0.0, 2.0, 3.5, 7.5]
@@ -255,8 +255,9 @@ def _angle_addition_cases():
 
 @pytest.mark.parametrize("rows", [1, None])
 def test_angle_addition_matches_full_square(monkeypatch, rows):
-    # rows = 1: every pair is in a rectangle, and the cut alone decides
-    # between angle addition and the direct sin; None: the default blocks.
+    # Every pair with d >= cut takes angle addition and every closer pair the
+    # direct sin.  rows = 1: one-row blocks; None: the default blocks, where
+    # the 12-mode ladder is a single block with gaps on both sides of the cut.
     for exp, T, shift in _angle_addition_cases():
         n = exp.freqs.size
         if rows is not None:
@@ -268,11 +269,11 @@ def test_angle_addition_matches_full_square(monkeypatch, rows):
             assert abs(value - direct) <= 1e-13 * k0 * norm, (n, T)
 
 
-@pytest.mark.parametrize("N, T", [(60, 1e4), (100, 1e5)])
+@pytest.mark.parametrize("N, T", [(20, 1e4), (60, 1e4), (100, 1e5)])
 def test_form_takes_sin_per_mode_not_per_pair(monkeypatch, N, T):
-    # sin and cos once per mode, plus sin on each block's triangle and on
-    # the strip of pairs closer than the cut; about n^2/2 entries without
-    # angle addition.
+    # sin and cos once per mode, plus sin on each pair closer than the cut;
+    # about n^2/2 entries without angle addition.  N = 20 (152 modes) is a
+    # single row block.
     exp = expand(zeta_instance(N), 2)
     f = exp.freqs
     n = f.size
@@ -280,19 +281,14 @@ def test_form_takes_sin_per_mode_not_per_pair(monkeypatch, N, T):
     for name in ("sin", "cos"):
         monkeypatch.setattr(np, name, lambda x, _ufunc=getattr(np, name):
                             (seen.append(np.size(x)), _ufunc(x))[1])
-    rows = spectral._ROW_CHUNK // n
     for form, theta, power in ((lambda: integral_exact(exp, Window(1.0, T)), T, 1),
                                (lambda: fejer_weighted_exact(exp, KernelParams(T, 1.0)),
                                 T / 2, 2)):
         seen.clear()
         form()
         cut = 4 * power * np.finfo(np.float64).eps * (f.max() + 2 / theta) / 1e-13
-        expected = 2 * n
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            near = np.searchsorted(f, f[stop - 1] + cut, side="right") - stop
-            expected += (stop - start) * (stop - start - 1) // 2 + (stop - start) * near
-        assert sum(seen) == expected < n * n / 10
+        near = sum(np.count_nonzero(f[j + 1:] - f[j] < cut) for j in range(n))
+        assert sum(seen) == 2 * n + near < n * n / 10
 
 
 def test_form_memory_stays_blocked():
