@@ -47,7 +47,7 @@ class OverflowRangeError(ExpMomentError):
 
 
 class NotConvergedError(ExpMomentError):
-    """Quadrature refinement hit the panel cap; carries the best value."""
+    """Quadrature hit the panel cap; carries the best value, or nan and inf."""
 
     def __init__(self, value: float, error_estimate: float, message: str = ""):
         super().__init__(message or f"not converged: value={value!r} "

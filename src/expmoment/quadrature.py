@@ -148,9 +148,13 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     Theorem-1 floor mass * (sum |c|^2)^q / 3, which only sizes: the value
     passes when bound <= rel_tol * |value| + 1e-15 * scale, the criterion of
     _adaptive.  Otherwise (complex sources can cancel) it is re-sized from
-    the computed value, and then from the absolute floor alone.
+    the computed value, and then from the absolute floor alone.  A constant
+    |S| is exact with no panels: |S|^{2q} * mass, bound 0.
     Returns (integral / norm, bound / norm, metadata).
     """
+    if (modulus := _constant_modulus(source)) is not None:
+        return modulus ** (2 * q) * (mass / norm), 0.0, {
+            "panels": 0, "points": 0, "constant": True, "error_kind": "truncation_bound"}
     nodes, weights = gauss_legendre()
     mags = np.abs(np.asarray(coefficient_values(source), dtype=np.complex128))
     log_m = _log_envelope(mags, source.frequencies, q)
@@ -231,12 +235,8 @@ def _adaptive(f, lo: float, hi: float, band: float, config: QuadratureConfig,
 def _constant_modulus(source) -> float | None:
     """|S|, when it is constant: all frequencies equal, or every c_n = 0."""
     if bandlimit(source, 1) == 0.0 or source.amplitude_sum() == 0.0:
-        return abs(sum(np.asarray(coefficient_values(source), dtype=complex)))
+        return float(abs(sum(np.asarray(coefficient_values(source), dtype=complex))))
     return None
-
-
-_CONSTANT_META = {"panels": 0, "points": 0, "constant": True,
-                  "error_kind": "truncation_bound"}
 
 
 def windowed_average(source: Instance | ComplexCoefficients, q: int,
@@ -246,9 +246,6 @@ def windowed_average(source: Instance | ComplexCoefficients, q: int,
     q = validate_order(q)
     T = window.half_width
     _check_overflow(source, 2 * q, 2 * T)
-    modulus = _constant_modulus(source)
-    if modulus is not None:
-        return MomentResult(float(modulus) ** (2 * q), 0.0, dict(_CONSTANT_META))
     # sum over the panels of h is T.
     value, bound, meta = _gauss_rule(lambda ts: power_on_array(source, ts, q),
                                      source, q, window.center - T, 1, T,
@@ -270,9 +267,6 @@ def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,
     q = validate_order(q)
     T, H = params.T, params.H
     _check_overflow(source, 2 * q, T)
-    modulus = _constant_modulus(source)
-    if modulus is not None:  # the kernel's area is T
-        return MomentResult(float(modulus) ** (2 * q) * T, 0.0, dict(_CONSTANT_META))
 
     def f(ts: Grid) -> np.ndarray:
         return kernel_value(params, ts.points()) * power_on_array(source, ts, q)
@@ -293,11 +287,6 @@ def windowed_abs_average(source: Instance | ComplexCoefficients,
     """
     T = window.half_width
     _check_overflow(source, 1, 2 * T)
-    modulus = _constant_modulus(source)
-    if modulus is not None:
-        return MomentResult(float(modulus), 0.0,
-                            {"panels": 0, "constant": True,
-                             "error_kind": "refinement_estimate"})
     scale = source.amplitude_sum() * (2 * T)
     value, err, panels = _adaptive(lambda ts: abs_on_array(source, ts),
                                    window.center - T, window.center + T,

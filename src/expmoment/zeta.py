@@ -309,7 +309,7 @@ def corollary_lower_bound(N: int, nu: int, half_width: float,
     meta.update({"N": N, "nu": nu, "T": half_width,
                  "coefficient_square_sum": coeff_sum,
                  "divisor_square_sum_upto_N": intermediate,
-                 "log_power_target": math.log(N) ** (nu * nu) if N > 1 else 0.0,
+                 "log_power_target": math.log(N) ** (nu * nu),
                  "order_note": "moment bound applied at q = nu"})
     passed = inequality_holds(lhs, rhs) and meta.get("engines_agree", True)
     return VerificationReport("corollary", {"N": N, "nu": nu}, lhs, rhs,

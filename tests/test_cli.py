@@ -328,6 +328,13 @@ def test_budget_exit_code(capsys):
     assert main(["zeta", "--nu", "3", "--N", "1000"]) == EXIT_BUDGET
 
 
+def test_sup_chain_past_max_panels_is_not_converged(capsys):
+    # At T = 1e7 the L1 rule's base panels pass max_panels: exit 3, no line.
+    assert main(["verify", "sup-chain", "--inline", "a=1,0.5;phi=0,1",
+                 "--T", "1e7"]) == EXIT_NOT_CONVERGED
+    assert capsys.readouterr().out == ""
+
+
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     # Every command of the README's CLI section exits 0, so a renamed
     # subcommand or flag fails here; inst.json is the file it names.

@@ -15,6 +15,7 @@ from expmoment.core import (
 )
 from expmoment.fejer import KernelParams
 from expmoment.quadrature import (
+    DEFAULT_CONFIG,
     QuadratureConfig,
     bandlimit,
     fejer_weighted_integral,
@@ -22,7 +23,7 @@ from expmoment.quadrature import (
     windowed_abs_average,
     windowed_average,
 )
-from expmoment.verify import random_dominated, random_instance
+from expmoment.verify import _raw_window_integral, random_dominated, random_instance
 from tuple_sum_oracle import closed_form_cases
 
 
@@ -53,11 +54,46 @@ def test_windowed_average_single_term_is_one():
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
 
-def test_windowed_average_equal_frequencies_constant():
-    inst = validate_instance([1.0, 1.0], [2.5, 2.5])
-    res = windowed_average(inst, 1, Window(-7.0, 3.0))
-    assert res.value == 4.0
-    assert res.error_estimate == 0.0
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("source, modulus", [
+    (validate_instance([1.0, 2.0], [0.5, 0.5]), 3.0),
+    (validate_instance([0.7], [3.7]), 0.7),
+    (dominated_coefficients([0, 0], validate_instance([1.0, 1.0], [0.0, 1.5])), 0.0),
+], ids=["equal-frequencies", "single-term", "zero-coefficients"])
+def test_windowed_average_equal_frequencies_constant(source, modulus, q):
+    # A constant |S| is exact in the Gauss rule, with no panels; the L1 rule
+    # integrates it like any other |S|.
+    window, params = Window(-7.0, 3.0), KernelParams(3.0, 2.0)
+    res = windowed_average(source, q, window)
+    assert (res.value, res.error_estimate) == (modulus ** (2 * q), 0.0)
+    assert res.metadata["constant"]
+    res = fejer_weighted_integral(source, q, params)
+    assert (res.value, res.error_estimate) == (3 * modulus ** (2 * q), 0.0)
+    assert res.metadata["constant"]
+    l1 = windowed_abs_average(source, window).value
+    assert l1 == (pytest.approx(modulus, rel=1e-15) if modulus else 0.0)
+    for kernel in (window, params):
+        _, meta = _raw_window_integral(source, q, kernel, DEFAULT_CONFIG, "both")
+        assert meta["engines_agree"]
+
+
+@pytest.mark.parametrize("kernel", [Window(0.0, 10.0), KernelParams(10.0, 0.0)],
+                         ids=["window", "fejer"])
+def test_gauss_rule_resizes_a_cancelling_source(kernel):
+    # c = (1, -1) at frequencies 1e-4 apart nearly cancel, so the first
+    # sizing, aimed at the floor (sum |c|^2)^q / 3, is far too coarse and the
+    # rule re-sizes from the computed value: a second level of panels runs.
+    source = dominated_coefficients([1, -1, 1e-3],
+                                    validate_instance([1, 1, 1e-3], [0, 1e-4, 50]))
+    expansion = spectral.expand(source, 1)
+    if isinstance(kernel, Window):
+        res = windowed_average(source, 1, kernel)
+        exact, mass = spectral.integral_exact(expansion, kernel) / 20, 1
+    else:
+        res = fejer_weighted_integral(source, 1, kernel)
+        exact, mass = spectral.fejer_weighted_exact(expansion, kernel), 10
+    assert res.metadata["points"] > QuadratureConfig.gauss_order * res.metadata["panels"]
+    assert abs(res.value - exact) <= res.error_estimate + _rounding(source, 1, mass)
 
 
 def test_windowed_average_two_tone_closed_form():
@@ -208,6 +244,19 @@ def test_not_converged_carries_the_average(monkeypatch):
             integrate(QuadratureConfig())
         assert info.value.value == pytest.approx(converged.value, rel=1e-6)
     assert info.value.error_estimate > 0
+
+
+def test_abs_average_refuses_before_evaluating(monkeypatch):
+    # At T = 1e7 the base panels alone pass max_panels: the L1 rule raises
+    # with no value (nan, inf) and evaluates nothing.
+    calls = []
+    monkeypatch.setattr(quadrature, "abs_on_array",
+                        lambda *args: calls.append(args))
+    with pytest.raises(NotConvergedError) as info:
+        windowed_abs_average(validate_instance([1.0, 0.5], [0.0, 1.0]),
+                             Window(0.0, 1e7))
+    assert math.isnan(info.value.value) and info.value.error_estimate == math.inf
+    assert calls == []
 
 
 def test_bound_value_pinned_by_hand():

@@ -8,12 +8,16 @@ import pytest
 from expmoment import verify, zeta
 from expmoment.core import (
     BadGapError,
+    BudgetExceededError,
     DegenerateCosineError,
+    ExpMomentError,
+    NonFiniteError,
     TermBudgetExceededError,
     Window,
     dominated_coefficients,
     validate_instance,
 )
+from expmoment.evaluate import eval_sum
 from expmoment.fejer import KernelParams
 from expmoment.quadrature import DEFAULT_CONFIG, bandlimit, windowed_average
 from expmoment.spectral import expand, fejer_weighted_exact
@@ -44,9 +48,11 @@ def test_theorem1_two_tone():
 
 
 def test_theorem1_all_zero_trivial():
-    rep = check_theorem1(validate_instance([0.0, 0.0], [0.0, 1.0]), 2, 1.0)
-    assert rep.passed
-    assert rep.method.get("trivial")
+    # 0 <= 0 passes the general rule; no engine needs a special case.
+    inst = validate_instance([0.0, 0.0], [0.0, 1.0])
+    rep = check_theorem1(inst, 2, 1.0)
+    assert rep.passed and rep.rhs == 0.0
+    assert check_theorem1(inst, 2, 1.0, engine="both").passed
 
 
 def test_theorem1_scale_invariant_verdict():
@@ -223,6 +229,35 @@ def test_bohr_lacunary_random():
 def test_bohr_rejects_nonpositive_frequencies():
     with pytest.raises(BadGapError):
         check_bohr_bound(validate_instance([1.0, 1.0], [0.0, 1.0]), 1)
+
+
+_PAIR = validate_instance([1.0, 1.0], [0.0, 1.5])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: KernelParams(math.nan), NonFiniteError),
+    (lambda: KernelParams(0.0), NonFiniteError),
+    (lambda: dominated_coefficients([math.nan, 0], _PAIR), NonFiniteError),
+    (lambda: eval_sum(_PAIR, math.inf), NonFiniteError),
+    (lambda: check_sup_chain(_PAIR, []), BadGapError),
+    (lambda: check_ingham_mordell(validate_instance([1.0], [0.0]), 1.0), BadGapError),
+    (lambda: check_ingham_mordell(_PAIR, 0.0), BadGapError),
+    (lambda: check_bohr_bound(validate_instance([1.0, 1.0], [1.0, 2.0]), 3),
+     BadGapError),
+    (lambda: check_bohr_bound(validate_instance([1.0, 1.0], [1.0, 1.0 + 1e-13]), 2),
+     DegenerateCosineError),
+    (lambda: list(verify.campaign("nope", 1, 1)), ExpMomentError),
+    (lambda: check_theorem1(_PAIR, 1, 1.0, engine="nope"), ValueError),
+    (lambda: zeta.coefficient_square_sum(zeta.power_coefficients(5, 2), 26),
+     BudgetExceededError),
+], ids=["kernel-nan", "kernel-zero-T", "coefficient-nan", "eval-inf-t",
+        "sup-chain-no-T", "ingham-N1", "ingham-gap0", "bohr-index-range",
+        "bohr-degenerate-cosine", "campaign-unknown", "engine-unknown",
+        "square-sum-past-table"])
+def test_refusals_raise_their_typed_error(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize("check, draws", [
