@@ -46,10 +46,10 @@ def _fmt(x: float) -> str:
 
 
 def _load_instance(args) -> Instance:
-    if getattr(args, "instance", None):
+    if args.instance:
         with open(args.instance) as fh:
             return Instance.from_json(fh.read())
-    if getattr(args, "inline", None):
+    if args.inline:
         fields = {}
         for part in args.inline.split(";"):
             key, _, val = part.partition("=")
@@ -59,15 +59,7 @@ def _load_instance(args) -> Instance:
 
 
 def _config(args) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=getattr(args, "rel_tol", 1e-9))
-
-
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "a") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    return QuadratureConfig(rel_tol=args.rel_tol)
 
 
 # --------------------------------------------------------------------------
@@ -94,7 +86,7 @@ def cmd_moment(args) -> int:
                 for k, v in results.items()})
     if "auto" in meta:
         rec["auto"] = meta["auto"]
-    _emit(args, json.dumps(rec))
+    print(json.dumps(rec))
     return EXIT_OK if meta.get("engines_agree", True) else EXIT_VIOLATED
 
 
@@ -112,7 +104,7 @@ def cmd_verify(args) -> int:
         if check == "corollary":
             reports.append(zeta.corollary_lower_bound(args.N, args.nu, args.T, config))
             continue
-        if getattr(args, "instance", None) or getattr(args, "inline", None):
+        if args.instance or args.inline:
             inst = _load_instance(args)
             if check == "theorem1":
                 reports.append(verify.check_theorem1(inst, args.q, args.T, config))
@@ -137,7 +129,7 @@ def cmd_verify(args) -> int:
         reports.extend(rep for _, rep in verify.campaign(check, count, args.seed,
                                                           config, args.quick))
     for rep in reports:
-        _emit(args, rep.to_json_line())
+        print(rep.to_json_line())
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -168,19 +160,19 @@ def cmd_zeta(args) -> int:
             raise ExpMomentError(f"--x must be a finite number > 1e3, got {args.x}")
         fit = zeta.growth_fit(args.nu, xs=None if args.x is None else
                               np.unique(np.geomspace(1e3, args.x, 15).astype(np.int64)))
-        _emit(args, json.dumps({k: v for k, v in fit.items() if k != "xs"}
-                               | {"xs": [int(x) for x in fit["xs"]]}))
+        print(json.dumps({k: v for k, v in fit.items() if k != "xs"}
+                         | {"xs": [int(x) for x in fit["xs"]]}))
         return EXIT_OK
     config = _config(args)
     sweep = _parse_sweep(args.sweep) if args.sweep else [args.N]
-    _emit(args, "N,lhs,rhs,divisor_sum,passed")
+    print("N,lhs,rhs,divisor_sum,passed")
     ok = True
     for n in sweep:
         rep = zeta.corollary_lower_bound(n, args.nu, args.T, config)
         ok = ok and rep.passed
-        _emit(args, ",".join([str(n), _fmt(rep.lhs), _fmt(rep.rhs),
-                              _fmt(rep.method["divisor_square_sum_upto_N"]),
-                              str(rep.passed)]))
+        print(",".join([str(n), _fmt(rep.lhs), _fmt(rep.rhs),
+                        _fmt(rep.method["divisor_square_sum_upto_N"]),
+                        str(rep.passed)]))
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
@@ -198,9 +190,9 @@ def cmd_plotdata(args) -> int:
     if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()):
         raise ExpMomentError("grid points must be finite and strictly increasing")
     vals = power_on_array(instance, ts, args.q)
-    _emit(args, "t,power")
+    print("t,power")
     for t, v in zip(ts, vals):
-        _emit(args, f"{_fmt(float(t))},{_fmt(float(v))}")
+        print(f"{_fmt(float(t))},{_fmt(float(v))}")
     return EXIT_OK
 
 
@@ -226,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["auto", "spectral", "quadrature", "both"],
                    default="auto")
     p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("verify", help="run inequality checks")
@@ -245,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, default=1)
     p.add_argument("--quick", action="store_true")
     p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--output")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_verify)
 
@@ -257,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisor-sum-only", action="store_true")
     p.add_argument("--x", type=float, help="divisor-sum upper limit")
     p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("plotdata", help="CSV samples of (t, |S(t)|^{2q})")
@@ -266,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=float, required=True)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--points", type=int, default=1001)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_plotdata)
 
     return parser

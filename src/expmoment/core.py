@@ -47,7 +47,8 @@ class OverflowRangeError(ExpMomentError):
 
 
 class NotConvergedError(ExpMomentError):
-    """Quadrature hit the panel cap; carries the best value, or nan and inf."""
+    """Quadrature hit the panel cap; carries the best value and its error,
+    or nan when it refused before evaluating."""
 
     def __init__(self, value: float, error_estimate: float, message: str = ""):
         super().__init__(message or f"not converged: value={value!r} "

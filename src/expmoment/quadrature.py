@@ -148,8 +148,10 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     Theorem-1 floor mass * (sum |c|^2)^q / 3, which only sizes: the value
     passes when bound <= rel_tol * |value| + 1e-15 * scale, the criterion of
     _adaptive.  Otherwise (complex sources can cancel) it is re-sized from
-    the computed value, and then from the absolute floor alone.  A constant
-    |S| is exact with no panels: |S|^{2q} * mass, bound 0.
+    the computed value, and then from the absolute floor alone.  As |value|
+    <= scale, a capped bound past (rel_tol + 1e-15) * scale cannot pass and
+    is refused before evaluating, with value nan.  A constant |S| is exact
+    with no panels: |S|^{2q} * mass, bound 0.
     Returns (integral / norm, bound / norm, metadata).
     """
     if (modulus := _constant_modulus(source)) is not None:
@@ -173,6 +175,8 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
                       + np.log(weight(h, _RHOS)))
         best = int(np.argmin(log_bounds))
         bound = math.exp(log_bounds[best])
+        if capped and bound > (config.rel_tol + 1e-15) * scale:
+            raise NotConvergedError(math.nan, bound / norm)
         idx = np.arange(pieces * per_piece)
         total = float(np.sum(_panel_sums(f, lo, 2 * h, idx, nodes, weights)))
         points += idx.size * nodes.size
@@ -250,7 +254,7 @@ def windowed_average(source: Instance | ComplexCoefficients, q: int,
     value, bound, meta = _gauss_rule(lambda ts: power_on_array(source, ts, q),
                                      source, q, window.center - T, 1, T,
                                      lambda h, rho: T, 2 * T, config, 2 * T)
-    return MomentResult(max(0.0, value), bound, meta)
+    return MomentResult(value, bound, meta)
 
 
 def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,
@@ -274,7 +278,7 @@ def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,
     raw, bound, meta = _gauss_rule(f, source, q, H - T, 2, T / 2,
                                    lambda h, rho: T / 2 + h * (rho + 1 / rho) / 2,
                                    T, config)
-    return MomentResult(max(0.0, raw), bound, meta)
+    return MomentResult(raw, bound, meta)
 
 
 def windowed_abs_average(source: Instance | ComplexCoefficients,
@@ -291,5 +295,5 @@ def windowed_abs_average(source: Instance | ComplexCoefficients,
     value, err, panels = _adaptive(lambda ts: abs_on_array(source, ts),
                                    window.center - T, window.center + T,
                                    bandlimit(source, 1), config, scale, 2 * T)
-    return MomentResult(max(0.0, value), err,
+    return MomentResult(value, err,
                         {"panels": panels, "error_kind": "refinement_estimate"})

@@ -153,20 +153,40 @@ def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
     return value, meta
 
 
-def _two_sided(check: str, source, lhs: float, rhs: float, meta_l: dict,
-               meta_r: dict, **fields) -> VerificationReport:
-    """Report of a check whose sides each ran the dispatcher.
+def _report(check: str, summary: dict, lhs: float, rhs: float, meta: dict,
+            *sides: dict, holds: bool = True) -> VerificationReport:
+    """The one verdict: lhs <= rhs, every side's engines agree, and holds."""
+    passed = (inequality_holds(lhs, rhs) and holds
+              and all(m.get("engines_agree", True) for m in sides))
+    return VerificationReport(check, summary, lhs, rhs, rhs - lhs, passed, meta)
 
-    It fails when either side's engines disagreed.
-    """
-    meta = {"engine": meta_l["engine"], **fields}
+
+def _window_bound(check: str, summary: dict, source, q: int, half_width: float,
+                  lhs: float, config: QuadratureConfig, engine: str, /,
+                  **fields) -> VerificationReport:
+    """lhs <= (1/2T) integral_{|t|<=T} |S|^{2q} dt, by the dispatcher."""
+    raw, meta = _raw_window_integral(source, q, Window(0.0, half_width),
+                                     config, engine)
+    meta.update(fields)
+    return _report(check, summary, lhs, raw / (2 * half_width), meta, meta)
+
+
+def _dominated(check: str, coeffs: ComplexCoefficients, q: int,
+               shifted: Window | KernelParams, centred: Window | KernelParams,
+               factor: float, config: QuadratureConfig, engine: str,
+               **fields) -> VerificationReport:
+    """c-sum against ``shifted`` <= factor * a-sum against ``centred``."""
+    q = validate_order(q)
+    lhs, meta_l = _raw_window_integral(coeffs, q, shifted, config, engine)
+    rhs, meta_r = _raw_window_integral(coeffs.dominating, q, centred, config, engine)
+    meta = {"engine": meta_l["engine"], "q": q, **fields,
+            "rhs_engine": meta_r["engine"],
+            "rational_mode": meta_l.get("rational_mode", False)}
     for side, m in (("lhs", meta_l), ("rhs", meta_r)):
         for key in ("disagreement", "auto"):
             if key in m:
                 meta[f"{side}_{key}"] = m[key]
-    agree = meta_l.get("engines_agree", True) and meta_r.get("engines_agree", True)
-    return VerificationReport(check, _summary(source), lhs, rhs, rhs - lhs,
-                              inequality_holds(lhs, rhs) and agree, meta)
+    return _report(check, _summary(coeffs), lhs, factor * rhs, meta, meta_l, meta_r)
 
 
 def check_theorem1(instance: Instance, q: int, half_width: float,
@@ -174,14 +194,9 @@ def check_theorem1(instance: Instance, q: int, half_width: float,
                    engine: str = "auto") -> VerificationReport:
     """(1/3)(sum a_n^2)^q <= (1/2T) integral_{|t|<=T} |S|^{2q} dt."""
     q = validate_order(q)
-    window = Window(0.0, half_width)
-    lhs = THEOREM_CONSTANT * instance.energy() ** q
-    raw, meta = _raw_window_integral(instance, q, window, config, engine)
-    rhs = raw / (2 * half_width)
-    meta.update({"q": q, "T": half_width, "constant": THEOREM_CONSTANT})
-    passed = inequality_holds(lhs, rhs) and meta.get("engines_agree", True)
-    return VerificationReport("theorem1", _summary(instance), lhs, rhs,
-                              rhs - lhs, passed, meta)
+    return _window_bound("theorem1", _summary(instance), instance, q, half_width,
+                         THEOREM_CONSTANT * instance.energy() ** q, config, engine,
+                         q=q, T=half_width, constant=THEOREM_CONSTANT)
 
 
 def check_lemma(coeffs: ComplexCoefficients, q: int, half_width: float,
@@ -189,27 +204,18 @@ def check_lemma(coeffs: ComplexCoefficients, q: int, half_width: float,
                 engine: str = "auto") -> VerificationReport:
     """Shifted-window majorization: the c-sum integral over |t - T0| <= T is
     at most 3x the a-sum integral over |t| <= T."""
-    q = validate_order(q)
-    lhs, meta_l = _raw_window_integral(coeffs, q, Window(center, half_width),
-                                       config, engine)
-    rhs_int, meta_r = _raw_window_integral(coeffs.dominating, q,
-                                           Window(0.0, half_width), config, engine)
-    return _two_sided("lemma", coeffs, lhs, 3.0 * rhs_int, meta_l, meta_r,
-                      q=q, T=half_width, T0=center, rhs_engine=meta_r["engine"])
+    return _dominated("lemma", coeffs, q, Window(center, half_width),
+                      Window(0.0, half_width), 3.0, config, engine,
+                      T=half_width, T0=center)
 
 
 def check_eq45(coeffs: ComplexCoefficients, q: int, half_width: float,
                shift: float, config: QuadratureConfig = DEFAULT_CONFIG,
                engine: str = "auto") -> VerificationReport:
     """Kernel-weighted domination: shifted c-sum value <= centered a-sum value."""
-    q = validate_order(q)
-    lhs, meta_l = _raw_window_integral(coeffs, q, KernelParams(half_width, shift),
-                                       config, engine)
-    rhs, meta_r = _raw_window_integral(coeffs.dominating, q,
-                                       KernelParams(half_width, 0.0), config, engine)
-    return _two_sided("eq45", coeffs, lhs, rhs, meta_l, meta_r, q=q,
-                      T=half_width, H=shift,
-                      rational_mode=meta_l.get("rational_mode", False))
+    return _dominated("eq45", coeffs, q, KernelParams(half_width, shift),
+                      KernelParams(half_width, 0.0), 1.0, config, engine,
+                      T=half_width, H=shift)
 
 
 def _grid_sup(instance: Instance, lo: float, hi: float, points: int) -> float:
@@ -264,23 +270,23 @@ def check_sup_chain(instance: Instance, half_widths,
     sup_s = _grid_sup(instance, -largest, largest,
                       _sup_grid_points(instance, 2 * largest))
     averages, errors, left_bounds = [], [], []
-    passed = True
+    chain = True
     for T in half_widths:
         res = windowed_abs_average(instance, Window(0.0, T), config)
         left = _coefficient_average(instance, T)
         averages.append(res.value)
         errors.append(res.error_estimate)
         left_bounds.append(left)
-        passed = (passed and inequality_holds(left, res.value + res.error_estimate)
-                  and inequality_holds(res.value, sup_s))
+        chain = (chain and inequality_holds(left, res.value + res.error_estimate)
+                 and inequality_holds(res.value, sup_s))
     meta = {"engine": "quadrature", "half_widths": half_widths,
             "averages": averages, "error_estimates": errors,
             "left_bounds": left_bounds, "grid_sup": sup_s,
             "finite_T_deviation": max(0.0, sup_a - averages[-1]),
             "left_side": "max_n |(1/2T) integral S(t) e^{-it phi_n} dt| "
                          "<= average + error_estimate at every T"}
-    return VerificationReport("sup_chain", _summary(instance), sup_a, sup_s,
-                              sup_s - sup_a, passed, meta)
+    return _report("sup_chain", _summary(instance), sup_a, sup_s, meta,
+                   holds=chain)
 
 
 def check_ingham_mordell(instance: Instance, gap: float,
@@ -305,8 +311,7 @@ def check_ingham_mordell(instance: Instance, gap: float,
     rhs = 2.0 * avg  # (1/T) integral = 2 * (1/2T) integral
     lhs = max(instance.amplitudes)
     meta = {"engine": "quadrature", "gap": gap, "T": T}
-    return VerificationReport("ingham_mordell", _summary(instance), lhs, rhs,
-                              rhs - lhs, inequality_holds(lhs, rhs), meta)
+    return _report("ingham_mordell", _summary(instance), lhs, rhs, meta)
 
 
 def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
@@ -346,8 +351,7 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
     meta = {"engine": "grid", "index": n, "cos_product": product,
             "t_max": t_max,
             "product_index_reading": "first product taken over j=1..n-1"}
-    return VerificationReport("bohr", _summary(instance), lhs, rhs,
-                              rhs - lhs, inequality_holds(lhs, rhs), meta)
+    return _report("bohr", _summary(instance), lhs, rhs, meta)
 
 
 # --------------------------------------------------------------------------

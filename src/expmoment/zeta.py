@@ -13,16 +13,10 @@ from .core import (
     BudgetExceededError,
     Instance,
     OverflowRangeError,
-    Window,
     validate_order,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .verify import (
-    THEOREM_CONSTANT,
-    VerificationReport,
-    _raw_window_integral,
-    inequality_holds,
-)
+from .verify import THEOREM_CONSTANT, VerificationReport, _window_bound
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 _BLOCK = 1 << 18  # output entries per block of the b_m convolution
@@ -300,17 +294,10 @@ def corollary_lower_bound(N: int, nu: int, half_width: float,
     nu, N = validate_order(nu), _as_int("N", N)
     table = power_coefficients(N, nu)
     coeff_sum = coefficient_square_sum(table)
-    lhs = THEOREM_CONSTANT * coeff_sum
-    instance = zeta_instance(N)
-    raw, meta = _raw_window_integral(instance, nu, Window(0.0, half_width),
-                                     config, engine)
-    rhs = raw / (2 * half_width)
-    intermediate = coefficient_square_sum(table, N)
-    meta.update({"N": N, "nu": nu, "T": half_width,
-                 "coefficient_square_sum": coeff_sum,
-                 "divisor_square_sum_upto_N": intermediate,
-                 "log_power_target": math.log(N) ** (nu * nu),
-                 "order_note": "moment bound applied at q = nu"})
-    passed = inequality_holds(lhs, rhs) and meta.get("engines_agree", True)
-    return VerificationReport("corollary", {"N": N, "nu": nu}, lhs, rhs,
-                              rhs - lhs, passed, meta)
+    return _window_bound("corollary", {"N": N, "nu": nu}, zeta_instance(N), nu,
+                         half_width, THEOREM_CONSTANT * coeff_sum, config, engine,
+                         N=N, nu=nu, T=half_width,
+                         coefficient_square_sum=coeff_sum,
+                         divisor_square_sum_upto_N=coefficient_square_sum(table, N),
+                         log_power_target=math.log(N) ** (nu * nu),
+                         order_note="moment bound applied at q = nu")

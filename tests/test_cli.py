@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import pathlib
@@ -13,6 +14,7 @@ from expmoment.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_VIOLATED,
+    build_parser,
     main,
 )
 
@@ -85,6 +87,25 @@ def test_moment_at_huge_window(capsys):
     assert rec["auto"]["quadrature_price"] > rec["auto"]["spectral_price"]
     assert main(argv + ["--engine", "quadrature"]) == EXIT_NOT_CONVERGED
     assert capsys.readouterr().out == ""
+
+
+def test_each_subcommand_has_exactly_its_options():
+    # A new option needs an edit here, so no knob comes back unnoticed.
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: [s for a in p._actions for s in a.option_strings
+                      if s not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+    assert options == {
+        "moment": ["--instance", "--inline", "--q", "--T", "--center",
+                   "--engine", "--rel-tol"],
+        "verify": ["--instance", "--inline", "--random", "--seed", "--q", "--T",
+                   "--T0", "--H", "--gamma", "--index", "--N", "--nu", "--quick",
+                   "--rel-tol", "--csv"],
+        "zeta": ["--nu", "--N", "--T", "--sweep", "--divisor-sum-only", "--x",
+                 "--rel-tol"],
+        "plotdata": ["--instance", "--inline", "--q", "--tmin", "--tmax",
+                     "--points"]}
 
 
 def test_moment_missing_instance_is_invalid(capsys):

@@ -10,6 +10,7 @@ from expmoment.core import (
     EmptyInstanceError,
     Instance,
     LengthMismatchError,
+    MomentResult,
     NegativeAmplitudeError,
     NonFiniteError,
     Window,
@@ -106,6 +107,13 @@ def test_window_validation():
         Window(0.0, 0.0)
     with pytest.raises(NonFiniteError):
         Window(math.nan, 1.0)
+
+
+def test_moment_result_refuses_negative_parts():
+    # The one non-negativity invariant of every quadrature result.
+    for value, error in ((-1e-300, 0.0), (0.0, -1.0)):
+        with pytest.raises(NonFiniteError):
+            MomentResult(value, error)
 
 
 def test_validate_order():

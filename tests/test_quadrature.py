@@ -232,9 +232,10 @@ def test_abs_average_kinked_closed_form(r, k, monkeypatch):
 def test_not_converged_carries_the_average(monkeypatch):
     inst = validate_instance([1.0, 0.5], [0.0, 1.0])
     cases = (
-        # One level of Gauss panels: at T = 10 one panel suffices, at
-        # T = 100 the rule needs 8 or 9 and 7 are too few.
-        (lambda cfg: windowed_average(inst, 1, Window(2.0, 100.0), cfg), 7),
+        # One level of Gauss panels: at T = 300 the rule needs 25, and the
+        # bound of 23 (1.8e-9) is under the 2.25e-9 that |value| <= scale
+        # allows, so it evaluates them and then misses rel_tol * value.
+        (lambda cfg: windowed_average(inst, 1, Window(2.0, 300.0), cfg), 23),
         # 7 base panels, no room to halve.
         (lambda cfg: windowed_abs_average(inst, Window(2.0, 10.0), cfg), 10))
     for integrate, max_panels in cases:
@@ -243,7 +244,22 @@ def test_not_converged_carries_the_average(monkeypatch):
             patch.setattr(QuadratureConfig, "max_panels", max_panels)
             integrate(QuadratureConfig())
         assert info.value.value == pytest.approx(converged.value, rel=1e-6)
-    assert info.value.error_estimate > 0
+        assert info.value.error_estimate > 0
+
+
+def test_gauss_rule_refuses_before_evaluating(monkeypatch):
+    # At T = 100 the rule needs 8 or 9 panels; the bound of 7 (2.6e-8) is
+    # past the 2.25e-9 that any |value| <= scale could pass, so it raises
+    # with value nan and evaluates nothing.
+    calls = []
+    monkeypatch.setattr(quadrature, "power_on_array",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(QuadratureConfig, "max_panels", 7)
+    with pytest.raises(NotConvergedError) as info:
+        windowed_average(validate_instance([1.0, 0.5], [0.0, 1.0]), 1,
+                         Window(2.0, 100.0))
+    assert math.isnan(info.value.value) and info.value.error_estimate > 2.25e-9
+    assert calls == []
 
 
 def test_abs_average_refuses_before_evaluating(monkeypatch):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from expmoment import verify, zeta
+from expmoment.cli import EXIT_VIOLATED, main
 from expmoment.core import (
     BadGapError,
     BudgetExceededError,
     DegenerateCosineError,
     ExpMomentError,
+    MomentResult,
     NonFiniteError,
     TermBudgetExceededError,
     Window,
@@ -73,6 +75,26 @@ def test_theorem1_both_engines_report_disagreement():
     assert "disagreement" in rep.method
     assert rep.method["disagreement"] <= 1e-6
     assert rep.passed
+
+
+def test_disagreeing_engines_fail_every_dispatcher_check(monkeypatch, capsys):
+    # Every disagreement exceeds a tolerance of -1.  The spectral engine
+    # keeps its own binding, so its merge refusal is untouched.
+    inst = validate_instance([1.0, 0.5], [0.0, 2.0])
+    cc = dominated_coefficients([0.8, 0.3j], inst)
+    checks = (lambda: check_theorem1(inst, 2, 3.0, engine="both"),
+              lambda: check_lemma(cc, 2, 3.0, 5.0, engine="both"),
+              lambda: check_eq45(cc, 2, 3.0, 1.0, engine="both"),
+              lambda: zeta.corollary_lower_bound(5, 2, 10.0, engine="both"))
+    agreed = [run() for run in checks]
+    monkeypatch.setattr(verify, "ENGINE_AGREEMENT_RTOL", -1.0)
+    for run, before in zip(checks, agreed):
+        rep = run()
+        assert before.passed and rep.passed is False
+        assert (rep.lhs, rep.rhs) == (before.lhs, before.rhs)
+    assert main(["moment", "--inline", "a=1,0.5;phi=0,2", "--q", "2",
+                 "--T", "3", "--engine", "both"]) == EXIT_VIOLATED
+    capsys.readouterr()
 
 
 def test_lemma_equal_coefficients_zero_shift():
@@ -165,6 +187,19 @@ def test_sup_chain_left_side_can_fail(monkeypatch):
     rep = check_sup_chain(validate_instance([1.0, 0.5], [0.0, 1.0]), [100.0])
     assert rep.method["averages"][-1] <= rep.rhs
     assert not rep.passed
+
+
+def test_sup_chain_fails_when_its_headline_fails(monkeypatch):
+    # Every per-T condition holds (coefficient average 0.993 <= 0.9 + 0.2,
+    # average 0.9 <= grid sup 0.95), but the printed max a_n = 1 <= 0.95
+    # does not.
+    monkeypatch.setattr(verify, "windowed_abs_average",
+                        lambda *args: MomentResult(0.9, 0.2))
+    monkeypatch.setattr(verify, "_grid_sup", lambda *args: 0.95)
+    rep = check_sup_chain(validate_instance([1.0, 0.2], [0.0, 3.0]), [10.0])
+    assert rep.method["left_bounds"] == [pytest.approx(0.9934, abs=1e-4)]
+    assert (rep.lhs, rep.rhs) == (1.0, 0.95)
+    assert rep.passed is False
 
 
 def test_sup_chain_two_tone_middle_value():
