@@ -29,10 +29,10 @@ class CoefficientTable:
     nu: int
     N: int
     limit: int
-    b: np.ndarray  # int64, index m in 0..limit; b[0] unused
+    b: np.ndarray  # _table_dtype(limit, nu), index m in 0..limit; b[0] unused
 
     def total(self) -> int:
-        return int(self.b.sum())
+        return int(self.b.sum(dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class DivisorTable:
 
     nu: int
     x: int
-    d: np.ndarray  # int64, index m in 0..x; d[0] unused
+    d: np.ndarray  # _table_dtype(x, nu), index m in 0..x; d[0] unused
 
 
 def _as_int(name: str, value) -> int:
@@ -79,27 +79,29 @@ def _max_divisor_count(x: int, nu: int) -> int:
     return walk(1, 0, x.bit_length(), 1)
 
 
-def _check_int64(x: int, nu: int) -> int:
-    """max_{m<=x} d_nu(m); raise when it does not fit in int64."""
+def _table_dtype(x: int, nu: int) -> type:
+    """Narrowest of int16 / int32 / int64 holding max_{m<=x} d_nu(m), or raise."""
     top = _max_divisor_count(x, nu)
     if top > np.iinfo(np.int64).max:
         raise OverflowRangeError(
             f"max d_{nu}(m) over m <= {x} is {top:.3e}, beyond int64")
-    return top
+    return next(t for t in (np.int16, np.int32, np.int64)
+                if top <= np.iinfo(t).max)
 
 
-def _indicator_power(M: int, nu: int, limit: int) -> np.ndarray:
+def _indicator_power(M: int, nu: int, limit: int, dtype: type) -> np.ndarray:
     """nu-fold Dirichlet convolution of the indicator of [1, M], at m <= limit.
 
     The r-fold convolution vanishes above M^r, so round r fills only
     min(limit, M^r) + 1 entries, _BLOCK of them at a time so that the
-    strided writes new[m d] += cur[m] stay in cache.
+    strided writes new[m d] += cur[m] stay in cache.  Every partial sum of
+    these non-negative terms is <= d_r(m) <= d_nu(m), so dtype holds it.
     """
-    cur = np.ones(min(M, limit) + 1, dtype=np.int64)
+    cur = np.ones(min(M, limit) + 1, dtype=dtype)
     cur[0] = 0
     for r in range(2, nu + 1):
         size, top = min(limit, M ** r), cur.size - 1
-        new = np.zeros(size + 1, dtype=np.int64)
+        new = np.zeros(size + 1, dtype=dtype)
         for lo in range(0, size + 1, _BLOCK):
             hi = min(lo + _BLOCK, size + 1)
             for d in range(max(1, -(-lo // top)), min(M, hi - 1) + 1):
@@ -113,8 +115,8 @@ def power_coefficients(N: int, nu: int, limit: int | None = None) -> Coefficient
     """nu-fold Dirichlet convolution of the indicator of [1, N], exact integers.
 
     A table truncated at limit < N^nu is exact for every m <= limit (all
-    factors of a product <= limit are themselves <= limit).  Raises
-    OverflowRangeError when b_m <= d_nu(m) cannot be bounded inside int64.
+    factors of a product <= limit are themselves <= limit).  It is in
+    _table_dtype(limit, nu), as b_m <= d_nu(m), which raises past int64.
     """
     nu = validate_order(nu)
     N = _as_int("N", N)
@@ -129,8 +131,8 @@ def power_coefficients(N: int, nu: int, limit: int | None = None) -> Coefficient
     if limit > DEFAULT_ENTRY_BUDGET:
         raise BudgetExceededError(
             f"table of {limit} entries exceeds budget {DEFAULT_ENTRY_BUDGET}")
-    _check_int64(limit, nu)
-    return CoefficientTable(nu, N, limit, _indicator_power(min(N, limit), nu, limit))
+    return CoefficientTable(nu, N, limit, _indicator_power(
+        min(N, limit), nu, limit, _table_dtype(limit, nu)))
 
 
 def _primes_upto(n: int) -> np.ndarray:
@@ -152,10 +154,9 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
     prime p <= sqrt(x) raises the factor of the multiples of p^k from
     d_nu(p^{k-1}) to d_nu(p^k).  A prime p > sqrt(x) divides m <= x at most
     once, with cofactor j < sqrt(x), so one pass multiplies d[p j] by nu.
-    Raises OverflowRangeError when max_{m<=x} d_nu(m) exceeds int64, and
-    sieves in the narrowest of int16 / int32 / int64 that holds that max:
-    every intermediate d[m] is d_nu of a divisor of m, since the divide is
-    exact, so it never exceeds the max.  The table is returned as int64.
+    Raises OverflowRangeError when max_{m<=x} d_nu(m) exceeds int64, else
+    sieves in and returns _table_dtype(x, nu): every intermediate d[m] is
+    d_nu of a divisor of m (the divide is exact), so it never exceeds the max.
     """
     nu = validate_order(nu)
     x = _as_int("x", x)
@@ -164,9 +165,7 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
     if x > DEFAULT_ENTRY_BUDGET:
         raise BudgetExceededError(
             f"table of {x} entries exceeds budget {DEFAULT_ENTRY_BUDGET}")
-    top = _check_int64(x, nu)
-    d = np.ones(x + 1, dtype=next(t for t in (np.int16, np.int32, np.int64)
-                                  if top <= np.iinfo(t).max))
+    d = np.ones(x + 1, dtype=_table_dtype(x, nu))
     d[0] = 0
     root = math.isqrt(x)
     primes = _primes_upto(x)
@@ -182,10 +181,11 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
             pk, k = pk * p, k + 1
     large = primes[small:]
     if nu > 1:  # for nu = 1 every factor is 1
-        for j in range(1, x // (root + 1) + 1):
-            count = int(np.searchsorted(large, x // j, side="right"))
-            d[j * large[:count]] *= nu
-    return DivisorTable(nu, x, d.astype(np.int64))
+        counts = np.searchsorted(large, x // np.arange(1, x // (root + 1) + 1),
+                                 side="right")
+        for j, count in enumerate(counts.tolist(), 1):
+            d[::j][large[:count]] *= nu
+    return DivisorTable(nu, x, d)
 
 
 def _weighted_square_sums(arr: np.ndarray, uptos) -> list[float]:
@@ -252,7 +252,7 @@ def growth_fit(nu: int = 2, xs=None) -> dict:
     is not an integer (an integral float is accepted).
     """
     if xs is None:
-        xs = np.unique(np.geomspace(1e3, 1e7, 15).astype(np.int64))
+        xs = np.unique(np.geomspace(1e3, 1e7, 15).astype(int))
     xs = [_as_int("x", x) for x in xs]
     distinct = len(set(xs))
     if distinct < 3:

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,18 +62,50 @@ def _naive_indicator_power(n, nu, limit):
     return cur
 
 
+def _narrowest(x, nu):
+    """The first of int16 / int32 / int64 that holds max_{m<=x} d_nu(m)."""
+    top = _max_divisor_count(x, nu)
+    return next(t for t in (np.int16, np.int32, np.int64)
+                if top <= np.iinfo(t).max)
+
+
 def test_blocked_convolution_matches_whole_table(monkeypatch):
     # The default block holds 2^18 entries, so 70^3 = 343,000 spans two.
     table = power_coefficients(70, 3)
     assert table.b.size > zeta._BLOCK
-    assert table.b.dtype == np.int64
+    assert table.b.dtype == _narrowest(70 ** 3, 3)
     assert np.array_equal(table.b, _naive_indicator_power(70, 3, None))
     monkeypatch.setattr(zeta, "_BLOCK", 64)
     for n, nu, limit in ((7, 3, 100), (5, 4, 200), (12, 2, 50), (30, 3, None),
-                         (20, 4, None)):
+                         (20, 4, None), (10, 10, 1000)):
         table = power_coefficients(n, nu, limit=limit)
-        assert table.b.dtype == np.int64
+        assert table.b.dtype == _narrowest(table.limit, nu)
         assert np.array_equal(table.b, _naive_indicator_power(n, nu, limit))
+    # The last case runs past int16: max d_10(m <= 1000) = d_10(720) = 393,250.
+    assert table.b.dtype == np.int32
+
+
+def test_total_sums_past_the_table_dtype():
+    # 40^3 = 64,000 tuples in an int16 table: an int16 sum would wrap.
+    table = power_coefficients(40, 3)
+    assert table.b.dtype == np.int16
+    assert table.total() == 40 ** 3
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tables_allocate_no_wide_copy():
+    # Both tables here are int16 (2 bytes per entry); an int64 copy or an
+    # int64 working array would add 8.
+    assert _peak_bytes(lambda: divisor_table(10 ** 6, 2)) <= 5 * (10 ** 6 + 1)
+    assert _peak_bytes(lambda: power_coefficients(100, 3)) <= 3 * (10 ** 6 + 1)
 
 
 def test_nonpositive_limit_is_invalid():
@@ -147,7 +180,7 @@ def test_divisor_table_matches_brute_force():
     for nu in range(1, 6):
         for x in (1, 2, 3, 4, 40, 48, 49, 50, 120, 121):
             table = divisor_table(x, nu)
-            assert table.d.dtype == np.int64
+            assert table.d.dtype == _narrowest(x, nu)
             assert table.d.tolist() == [0] + [d_nu_brute(m, nu)
                                               for m in range(1, x + 1)]
 
@@ -185,14 +218,14 @@ def test_divisor_table_int64_guard():
 
 
 def test_divisor_table_working_dtypes():
-    # The sieve works in int16, int32 or int64 by max d_nu(m); the sweep
-    # crosses both boundaries (d_10(720) = 393,250 > 2^15) and the table is
-    # int64 at every nu.
-    tops = []
+    # The sieve works in, and returns, int16, int32 or int64 by max d_nu(m);
+    # the sweep crosses both boundaries (d_10(720) = 393,250 > 2^15).
+    tops, dtypes = [], set()
     nu = 1
     while _max_divisor_count(1000, nu) <= np.iinfo(np.int64).max:
         table = divisor_table(1000, nu)
-        assert table.d.dtype == np.int64
+        assert table.d.dtype == _narrowest(1000, nu)
+        dtypes.add(table.d.dtype)
         assert table.d[1:].tolist() == [_factor_divisor_count(m, nu)
                                         for m in range(1, 1001)]
         tops.append(_max_divisor_count(1000, nu))
@@ -200,6 +233,7 @@ def test_divisor_table_working_dtypes():
     assert _factor_divisor_count(720, 10) == 393250
     assert min(tops) <= np.iinfo(np.int16).max < max(tops)
     assert any(np.iinfo(np.int32).max < top for top in tops)
+    assert dtypes == {np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)}
 
 
 def test_max_divisor_count_matches_scan():
