@@ -20,7 +20,6 @@ from .quadrature import (
     QuadratureConfig,
     bandlimit,
     fejer_weighted_integral,
-    windowed_abs_average,
     windowed_average,
 )
 from .rademacher import exact_even_moment, exhaustive_moment

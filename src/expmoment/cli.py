@@ -119,9 +119,9 @@ def cmd_verify(args) -> int:
                 reports.append(verify.check_eq45(coeffs, args.q, args.T,
                                                  args.H, config))
             elif check == "sup-chain":
-                reports.append(verify.check_sup_chain(inst, [args.T], config))
+                reports.append(verify.check_sup_chain(inst, [args.T]))
             elif check == "ingham":
-                reports.append(verify.check_ingham_mordell(inst, args.gamma, config))
+                reports.append(verify.check_ingham_mordell(inst, args.gamma))
             elif check == "bohr":
                 reports.append(verify.check_bohr_bound(inst, args.index))
             continue

@@ -89,5 +89,5 @@ def power_on_array(source, ts: np.ndarray | Grid, q: int) -> np.ndarray:
 
 
 def abs_on_array(source, ts: np.ndarray | Grid) -> np.ndarray:
-    """|S(t)| on an array of points or on a Grid (for the L1 inequalities)."""
+    """|S(t)| on an array of points or on a Grid (for the grid sup)."""
     return np.abs(sum_on_array(source, ts))

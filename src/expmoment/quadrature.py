@@ -18,12 +18,6 @@ over the panels, meets the tolerance, evaluate it once, and report the
 bound as the error estimate (error_kind "truncation_bound").  The bound
 covers truncation only, not floating-point rounding in evaluating
 |S|^{2q} and summing the panels.
-
-The kinked |S| of the L1 inequalities has no such M near the zeros of S,
-so windowed_abs_average refines adaptively: each round halves only the
-panels whose refinement difference |halves - panel| exceeds their length
-share of the tolerance, and the error estimate, the sum of those
-differences, is an estimate (error_kind "refinement_estimate").
 """
 from __future__ import annotations
 
@@ -44,7 +38,7 @@ from .core import (
     coefficient_values,
     validate_order,
 )
-from .evaluate import Grid, _check_overflow, abs_on_array, power_on_array
+from .evaluate import Grid, _check_overflow, power_on_array
 from .fejer import KernelParams, kernel_value
 
 # Cap on points per evaluation call: a chunk of rows = _CHUNK / nodes panels
@@ -146,9 +140,9 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     ellipses, so the summed bound is (64/15) M rho^{-2n} / (rho^2 - 1) *
     weight, taken at the best rho of _RHOS.  The first sizing aims at the
     Theorem-1 floor mass * (sum |c|^2)^q / 3, which only sizes: the value
-    passes when bound <= rel_tol * |value| + 1e-15 * scale, the criterion of
-    _adaptive.  Otherwise (complex sources can cancel) it is re-sized from
-    the computed value, and then from the absolute floor alone.  As |value|
+    passes when bound <= rel_tol * |value| + 1e-15 * scale.  Otherwise
+    (complex sources can cancel) it is re-sized from the computed value,
+    and then from the absolute floor alone.  As |value|
     <= scale, a capped bound past (rel_tol + 1e-15) * scale cannot pass and
     is refused before evaluating, with value nan.  A constant |S| is exact
     with no panels: |S|^{2q} * mass, bound 0.
@@ -188,52 +182,6 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
             break
         target = max(abs(total) - bound, 0.0) / 2 if attempt == 0 else 0.0
     raise NotConvergedError(total / norm, bound / norm)
-
-
-def _adaptive(f, lo: float, hi: float, band: float, config: QuadratureConfig,
-              scale: float, norm: float = 1.0) -> tuple[float, float, int]:
-    """Integrate f over [lo, hi], halving only the panels that have not
-    converged.
-
-    Each round evaluates the two halves of every active panel; e_i =
-    |halves - panel| is that panel's error estimate, and the halves' sums are
-    the next round's panel values, so no point is evaluated twice.  The
-    estimate is sum(e_i) over frozen and active panels (>= |total - previous
-    total|); it has converged when <= rel_tol * |total| + 1e-15 * scale.
-    Otherwise the panels whose e_i is within their length share of that
-    tolerance freeze and the rest are halved (all, if none exceeds its share).
-
-    Returns (integral / norm, error_estimate / norm, final panel count).
-    """
-    nodes, weights = gauss_legendre()
-    n = max(1, math.ceil((hi - lo) * band / math.pi))
-    if n > config.max_panels:
-        raise NotConvergedError(math.nan, math.inf)
-    width = (hi - lo) / n
-    active = np.arange(n)  # panel j covers lo + [j, j+1] * width
-    coarse = _panel_sums(f, lo, width, active, nodes, weights)
-    done, done_err, done_panels = [], [], 0  # frozen panels' sums, e_i, count
-    total, err = float(np.sum(coarse)), math.inf
-    while done_panels + 2 * active.size <= config.max_panels:
-        width /= 2
-        kids = (2 * active[:, None] + (0, 1)).ravel()
-        pairs = _panel_sums(f, lo, width, kids, nodes, weights).reshape(-1, 2)
-        errs = np.abs(pairs.sum(axis=1) - coarse)
-        # Panel sums are >= 0 (non-negative integrands and Gauss weights), so
-        # np.sum's pairwise order loses at most ~log2(panels) ulps.
-        total = math.fsum(done + [np.sum(pairs)])
-        err = math.fsum(done_err + [np.sum(errs)])
-        tol = config.rel_tol * abs(total) + 1e-15 * scale
-        if err <= tol:
-            return total / norm, err / norm, done_panels + kids.size
-        split = errs > tol * 2 * width / (hi - lo)
-        if not split.any():
-            split[:] = True
-        done.append(np.sum(pairs[~split]))
-        done_err.append(np.sum(errs[~split]))
-        done_panels += 2 * int(np.count_nonzero(~split))
-        active, coarse = kids.reshape(-1, 2)[split].ravel(), pairs[split].ravel()
-    raise NotConvergedError(total / norm, err / norm)
 
 
 def _constant_modulus(source) -> float | None:
@@ -280,20 +228,3 @@ def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,
                                    T, config)
     return MomentResult(raw, bound, meta)
 
-
-def windowed_abs_average(source: Instance | ComplexCoefficients,
-                         window: Window,
-                         config: QuadratureConfig = DEFAULT_CONFIG) -> MomentResult:
-    """(1/2T) * integral of |S(t)| over the window (the L1 inequalities).
-
-    |S| has kinks at zeros of S, so convergence is algebraic there rather
-    than geometric; only the panels next to them keep halving.
-    """
-    T = window.half_width
-    _check_overflow(source, 1, 2 * T)
-    scale = source.amplitude_sum() * (2 * T)
-    value, err, panels = _adaptive(lambda ts: abs_on_array(source, ts),
-                                   window.center - T, window.center + T,
-                                   bandlimit(source, 1), config, scale, 2 * T)
-    return MomentResult(value, err,
-                        {"panels": panels, "error_kind": "refinement_estimate"})

@@ -33,7 +33,6 @@ from .quadrature import (
     _constant_modulus,
     bandlimit,
     fejer_weighted_integral,
-    windowed_abs_average,
     windowed_average,
 )
 from . import spectral
@@ -232,14 +231,21 @@ def _grid_sup(instance: Instance, lo: float, hi: float, points: int) -> float:
     return best
 
 
-def _coefficient_average(instance: Instance, T: float) -> float:
-    """max_n |(1/2T) integral_{-T}^{T} S(t) e^{-it phi_n} dt|.
+def _l1_sides(instance: Instance, T: float) -> tuple[float, float]:
+    """Closed-form (lower, upper) with lower <= (1/2T) integral_{-T}^{T} |S| <= upper.
 
-    The integral is a_n + sum_{m != n} a_m sin(T d)/(T d), d = phi_m - phi_n.
+    v = K a with K_nm = sin(T d)/(T d), d = phi_m - phi_n, holds the
+    coefficient averages v_n = (1/2T) integral S(t) e^{-it phi_n} dt, and
+    |v_n| <= the L1 average, so lower = max |v_n|.  By Cauchy-Schwarz the L1
+    average is at most the root of the q = 1 window moment
+    (1/2T) integral |S|^2 = a . K a, so upper = sqrt(a . v).  Both are taken
+    on a / max a, so that sum a_n^2 may overflow.
     """
     phis = np.asarray(instance.frequencies)
-    kern = np.sinc(np.subtract.outer(phis, phis) * (T / math.pi))
-    return float(np.abs(kern @ np.asarray(instance.amplitudes)).max())
+    scale = max(instance.amplitudes) or 1.0
+    a = np.asarray(instance.amplitudes) / scale
+    v = np.sinc(np.subtract.outer(phis, phis) * (T / math.pi)) @ a
+    return scale * float(np.abs(v).max()), scale * math.sqrt(float(a @ v))
 
 
 def _sup_grid_points(instance: Instance, length: float) -> int:
@@ -249,16 +255,14 @@ def _sup_grid_points(instance: Instance, length: float) -> int:
     return min(max(want, 20_001), 400_001)
 
 
-def check_sup_chain(instance: Instance, half_widths,
-                    config: QuadratureConfig = DEFAULT_CONFIG) -> VerificationReport:
+def check_sup_chain(instance: Instance, half_widths) -> VerificationReport:
     """max a_n <= limsup (1/2T) integral |S| dt <= sup |S|.
 
-    Both sides are checked at every T supplied.  Left: the coefficient
-    average max_n |(1/2T) integral S(t) e^{-it phi_n} dt|, which tends to
-    max a_n, is at most (1/2T) integral |S| plus its quadrature error
-    estimate.  Right: the average is at most the grid sup, itself a max of
-    sampled values and so at most sup |S|.  The finite-T deficit against
-    max a_n is reported, never assumed zero.
+    The L1 average is held between the two sides of _l1_sides at every T
+    supplied, and the chain lower <= upper <= grid sup is checked there; the
+    grid sup is a max of sampled values and so at most sup |S|.  lower tends
+    to max a_n, so max a_n - lower at the largest T, an upper bound on the
+    finite-T deviation, is reported.
     """
     half_widths = sorted(float(t) for t in half_widths)
     if not half_widths:
@@ -269,32 +273,24 @@ def check_sup_chain(instance: Instance, half_widths,
     largest = half_widths[-1]
     sup_s = _grid_sup(instance, -largest, largest,
                       _sup_grid_points(instance, 2 * largest))
-    averages, errors, left_bounds = [], [], []
-    chain = True
-    for T in half_widths:
-        res = windowed_abs_average(instance, Window(0.0, T), config)
-        left = _coefficient_average(instance, T)
-        averages.append(res.value)
-        errors.append(res.error_estimate)
-        left_bounds.append(left)
-        chain = (chain and inequality_holds(left, res.value + res.error_estimate)
-                 and inequality_holds(res.value, sup_s))
-    meta = {"engine": "quadrature", "half_widths": half_widths,
-            "averages": averages, "error_estimates": errors,
-            "left_bounds": left_bounds, "grid_sup": sup_s,
-            "finite_T_deviation": max(0.0, sup_a - averages[-1]),
-            "left_side": "max_n |(1/2T) integral S(t) e^{-it phi_n} dt| "
-                         "<= average + error_estimate at every T"}
+    lower, upper = map(list, zip(*(_l1_sides(instance, T) for T in half_widths)))
+    chain = all(inequality_holds(lo, up) and inequality_holds(up, sup_s)
+                for lo, up in zip(lower, upper))
+    meta = {"engine": "closed_form", "half_widths": half_widths,
+            "lower_bounds": lower, "upper_bounds": upper, "grid_sup": sup_s,
+            "finite_T_deviation": sup_a - lower[-1]}
     return _report("sup_chain", _summary(instance), sup_a, sup_s, meta,
                    holds=chain)
 
 
-def check_ingham_mordell(instance: Instance, gap: float,
-                         config: QuadratureConfig = DEFAULT_CONFIG) -> VerificationReport:
+def check_ingham_mordell(instance: Instance, gap: float) -> VerificationReport:
     """max |a_n| <= (1/T) integral_{-T}^{T} |S| dt at T = pi/gap (K = 1 form).
 
     Requires strictly increasing frequencies with consecutive gaps >= gap.
+    rhs is twice the lower side of _l1_sides, a lower bound on the
+    integral; meta["upper"] is twice the upper side.
     """
+    _check_overflow(instance, 1)
     if instance.size < 2:
         raise BadGapError("need N >= 2")
     if gap <= 0:
@@ -307,11 +303,11 @@ def check_ingham_mordell(instance: Instance, gap: float,
         if hi - lo < slack:
             raise BadGapError(f"consecutive gap {hi - lo!r} < stated gap {gap!r}")
     T = math.pi / gap
-    avg = windowed_abs_average(instance, Window(0.0, T), config).value
-    rhs = 2.0 * avg  # (1/T) integral = 2 * (1/2T) integral
-    lhs = max(instance.amplitudes)
-    meta = {"engine": "quadrature", "gap": gap, "T": T}
-    return _report("ingham_mordell", _summary(instance), lhs, rhs, meta)
+    lower, upper = _l1_sides(instance, T)
+    # (1/T) integral = 2 * (1/2T) integral
+    meta = {"engine": "closed_form", "gap": gap, "T": T, "upper": 2.0 * upper}
+    return _report("ingham_mordell", _summary(instance), max(instance.amplitudes),
+                   2.0 * lower, meta)
 
 
 def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
@@ -412,14 +408,14 @@ def campaign(check: str, count: int, seed: int,
         elif check == "sup-chain":
             source = random_instance(rng, max_n=4, freq_range=(-2.0, 2.0))
             half_widths = (10.0, 100.0) if quick else (10.0, 100.0, 1000.0)
-            report = check_sup_chain(source, half_widths, config)
+            report = check_sup_chain(source, half_widths)
         elif check == "ingham":
             n = int(rng.integers(2, 6))
             gamma = float(rng.uniform(0.5, 2.0))
             gaps = rng.uniform(gamma, 2 * gamma, n - 1)
             phis = np.concatenate(([rng.uniform(-5, 5)], gaps)).cumsum()
             source = _instance(rng.uniform(0, 1, n), phis)
-            report = check_ingham_mordell(source, gamma, config)
+            report = check_ingham_mordell(source, gamma)
         else:
             n = int(rng.integers(1, 5))
             phis = np.cumprod(rng.uniform(2.0, 3.0, n)) * rng.uniform(0.5, 2.0)

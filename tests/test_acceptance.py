@@ -19,7 +19,7 @@ from numpy.random import Generator, Philox
 from expmoment import spectral, verify, zeta
 from expmoment.core import Window, validate_instance
 from expmoment.fejer import KernelParams
-from expmoment.quadrature import DEFAULT_CONFIG, QuadratureConfig, windowed_average
+from expmoment.quadrature import windowed_average
 from expmoment.rademacher import exact_even_moment, exhaustive_moment
 from expmoment.spectral import integral_exact, limit_moment
 from expmoment.verify import random_instance
@@ -31,11 +31,9 @@ def _report(num: int, name: str, ok: bool) -> None:
     print(f"criterion {num:2d} [{name}]: {'PASS' if ok else 'FAIL'}")
 
 
-def _violations(check: str, count: int, seed: int,
-                config: QuadratureConfig = DEFAULT_CONFIG) -> int:
+def _violations(check: str, count: int, seed: int) -> int:
     """Failed reports among the CLI's seeded cases of one check."""
-    return sum(not rep.passed
-               for _, rep in verify.campaign(check, count, seed, config))
+    return sum(not rep.passed for _, rep in verify.campaign(check, count, seed))
 
 
 def test_criterion_1_theorem1_explicit_constant():
@@ -147,11 +145,14 @@ def test_criterion_8_divisor_sum_growth_slope():
 
 
 def test_criterion_9_ingham_mordell():
-    violations = _violations("ingham", 100, SEED + 5,
-                             QuadratureConfig(rel_tol=1e-7))
+    violations = _violations("ingham", 100, SEED + 5)
+    # (1/pi) integral_{-pi}^{pi} |1 + e^{it}| dt = 8/pi, between rhs = 2 and
+    # the upper side 2 sqrt 2.
     hand = verify.check_ingham_mordell(
         validate_instance([1.0, 1.0], [0.0, 1.0]), 1.0)
-    hand_ok = hand.rhs == pytest.approx(8 / math.pi, rel=1e-8)
+    hand_ok = (hand.rhs == pytest.approx(2.0, rel=1e-12)
+               and hand.method["upper"] == pytest.approx(2 * math.sqrt(2), rel=1e-12)
+               and hand.rhs <= 8 / math.pi <= hand.method["upper"])
     ok = violations == 0 and hand_ok
     _report(9, "Ingham-Mordell K=1 form, 100 gap instances", ok)
     assert violations == 0
@@ -159,28 +160,35 @@ def test_criterion_9_ingham_mordell():
 
 
 def test_criterion_10_sup_chain():
-    config = QuadratureConfig(rel_tol=1e-6)
     violations = 0
-    for inst, rep in verify.campaign("sup-chain", 100, SEED + 6, config):
-        # Left side at every T, computed term by term:
-        # max_n |a_n + sum_{m != n} a_m sin(T d)/(T d)|, d = phi_m - phi_n.
+    for inst, rep in verify.campaign("sup-chain", 100, SEED + 6):
+        # Both sides at every T, recomputed: the lower one term by term,
+        # max_n |a_n + sum_{m != n} a_m sin(T d)/(T d)|, d = phi_m - phi_n,
+        # the upper one as the root of the spectral engine's q = 1 moment.
         pairs = list(zip(inst.amplitudes, inst.frequencies))
-        lefts = [max(abs(a_n + math.fsum(
-                         a_m * math.sin(T * (p_m - p_n)) / (T * (p_m - p_n))
-                         for a_m, p_m in pairs if p_m != p_n))
-                     for a_n, p_n in pairs)
-                 for T in rep.method["half_widths"]]
-        middles = [avg + err for avg, err in zip(rep.method["averages"],
-                                                 rep.method["error_estimates"])]
-        left_ok = (rep.method["half_widths"] == [10.0, 100.0, 1000.0]
-                   and rep.method["left_bounds"]
-                   == pytest.approx(lefts, rel=1e-12, abs=1e-15)
-                   and all(map(verify.inequality_holds, lefts, middles)))
-        if not (rep.passed and left_ok):
+        half_widths = rep.method["half_widths"]
+        lowers = [max(abs(a_n + math.fsum(
+                          a_m * math.sin(T * (p_m - p_n)) / (T * (p_m - p_n))
+                          for a_m, p_m in pairs if p_m != p_n))
+                      for a_n, p_n in pairs)
+                  for T in half_widths]
+        expansion = spectral.expand(inst, 1)
+        uppers = [math.sqrt(integral_exact(expansion, Window(0.0, T)) / (2 * T))
+                  for T in half_widths]
+        sides_ok = (half_widths == [10.0, 100.0, 1000.0]
+                    and rep.method["lower_bounds"]
+                    == pytest.approx(lowers, rel=1e-12, abs=1e-15)
+                    and rep.method["upper_bounds"] == pytest.approx(uppers, rel=1e-12))
+        if not (rep.passed and sides_ok):
             violations += 1
+    # The mean of |2 cos(t/2)| is 4/pi; at T = 1000 the sides are
+    # 1 + sin(T)/T = 1.00083 and sqrt(2 + 2 sin(T)/T) = 1.41480.
     two_tone = validate_instance([1.0, 1.0], [0.0, 1.0])
-    rep = verify.check_sup_chain(two_tone, [1000.0], config)
-    hand_ok = rep.method["averages"][-1] == pytest.approx(4 / math.pi, abs=1e-3)
+    rep = verify.check_sup_chain(two_tone, [1000.0])
+    (lower,), (upper,) = rep.method["lower_bounds"], rep.method["upper_bounds"]
+    hand_ok = (lower == pytest.approx(1.00083, abs=5e-6)
+               and upper == pytest.approx(1.41480, abs=5e-6)
+               and lower <= 4 / math.pi <= upper)
     ok = violations == 0 and hand_ok
     _report(10, "sup chain sandwich, 100 instances", ok)
     assert violations == 0

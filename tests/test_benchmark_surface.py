@@ -28,7 +28,6 @@ SURFACE = [
     ("evaluate", "abs_on_array", ("source", "ts")),
     ("quadrature", "windowed_average", ("source", "q", "window", "config")),
     ("quadrature", "fejer_weighted_integral", ("source", "q", "params", "config")),
-    ("quadrature", "windowed_abs_average", ("source", "window", "config")),
     ("quadrature", "bandlimit", ("source", "q")),
     ("spectral", "expand", ("source", "q")),
     ("spectral", "rational_mode_expand", ("source", "q")),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -12,7 +11,6 @@ from expmoment.core import (
     BudgetExceededError,
     DegenerateCosineError,
     ExpMomentError,
-    MomentResult,
     NonFiniteError,
     TermBudgetExceededError,
     Window,
@@ -169,45 +167,56 @@ def test_sup_chain_single_term_equality():
     rep = check_sup_chain(inst, [10.0])
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0)
-    assert rep.method["averages"][-1] == pytest.approx(1.0, rel=1e-9)
-    assert rep.method["left_bounds"] == [pytest.approx(1.0, rel=1e-15)]
-    assert "<= average + error_estimate" in rep.method["left_side"]
+    assert rep.method["engine"] == "closed_form"
+    assert rep.method["lower_bounds"] == [pytest.approx(1.0, rel=1e-15)]
+    assert rep.method["upper_bounds"] == [pytest.approx(1.0, rel=1e-15)]
 
 
 def test_sup_chain_left_side_can_fail(monkeypatch):
-    # Halving the average keeps it below the grid sup, so only the left
-    # side (coefficient average <= average + error) can fail.
-    real = verify.windowed_abs_average
-
-    def halved(*args, **kwargs):
-        res = real(*args, **kwargs)
-        return dataclasses.replace(res, value=0.5 * res.value)
-
-    monkeypatch.setattr(verify, "windowed_abs_average", halved)
+    # Swapping the two sides keeps the upper one below the grid sup, so only
+    # the left link (lower <= upper) can fail.
+    real = verify._l1_sides
+    monkeypatch.setattr(verify, "_l1_sides", lambda *args: real(*args)[::-1])
     rep = check_sup_chain(validate_instance([1.0, 0.5], [0.0, 1.0]), [100.0])
-    assert rep.method["averages"][-1] <= rep.rhs
+    assert rep.method["upper_bounds"][-1] <= rep.rhs
     assert not rep.passed
 
 
+def test_sup_chain_right_side_can_fail(monkeypatch):
+    # upper = sqrt(1.25 + sin(10) / 10) = 1.0926 tops a grid sup of 1.05,
+    # while lower <= upper and the printed max a_n = 1 <= 1.05 both hold.
+    monkeypatch.setattr(verify, "_grid_sup", lambda *args: 1.05)
+    rep = check_sup_chain(validate_instance([1.0, 0.5], [0.0, 1.0]), [10.0])
+    assert rep.method["upper_bounds"] == [
+        pytest.approx(math.sqrt(1.25 + math.sin(10.0) / 10.0), rel=1e-12)]
+    assert rep.method["lower_bounds"][0] <= rep.method["upper_bounds"][0]
+    assert (rep.lhs, rep.rhs) == (1.0, 1.05)
+    assert rep.passed is False
+
+
 def test_sup_chain_fails_when_its_headline_fails(monkeypatch):
-    # Every per-T condition holds (coefficient average 0.993 <= 0.9 + 0.2,
-    # average 0.9 <= grid sup 0.95), but the printed max a_n = 1 <= 0.95
-    # does not.
-    monkeypatch.setattr(verify, "windowed_abs_average",
-                        lambda *args: MomentResult(0.9, 0.2))
+    # Every per-T condition holds (lower 0.9 <= upper 0.92 <= grid sup
+    # 0.95), but the printed max a_n = 1 <= 0.95 does not.
+    monkeypatch.setattr(verify, "_l1_sides", lambda *args: (0.9, 0.92))
     monkeypatch.setattr(verify, "_grid_sup", lambda *args: 0.95)
     rep = check_sup_chain(validate_instance([1.0, 0.2], [0.0, 3.0]), [10.0])
-    assert rep.method["left_bounds"] == [pytest.approx(0.9934, abs=1e-4)]
+    assert rep.method["lower_bounds"] == [0.9]
     assert (rep.lhs, rep.rhs) == (1.0, 0.95)
     assert rep.passed is False
 
 
 def test_sup_chain_two_tone_middle_value():
+    # The mean of |2 cos(t/2)| tends to 4/pi; at T the sides are
+    # 1 + sin(T)/T and sqrt(2 + 2 sin(T)/T).
     inst = validate_instance([1.0, 1.0], [0.0, 1.0])
     rep = check_sup_chain(inst, [10.0, 100.0, 1000.0])
     assert rep.passed
-    assert rep.method["averages"][-1] == pytest.approx(4 / math.pi, abs=1e-3)
-    assert 1.0 <= rep.method["averages"][-1] <= 2.0
+    lower, upper = rep.method["lower_bounds"][-1], rep.method["upper_bounds"][-1]
+    s = math.sin(1000.0) / 1000.0
+    assert lower == pytest.approx(1 + s, rel=1e-12)
+    assert upper == pytest.approx(math.sqrt(2 + 2 * s), rel=1e-12)
+    assert lower <= 4 / math.pi <= upper
+    assert rep.method["finite_T_deviation"] == pytest.approx(-s, rel=1e-9)
 
 
 def test_sup_chain_rejects_repeated_frequencies():
@@ -218,7 +227,10 @@ def test_sup_chain_rejects_repeated_frequencies():
 def test_ingham_hand_case():
     inst = validate_instance([1.0, 1.0], [0.0, 1.0])
     rep = check_ingham_mordell(inst, 1.0)
-    assert rep.rhs == pytest.approx(8 / math.pi, rel=1e-8)
+    # (1/pi) integral_{-pi}^{pi} |1 + e^{it}| dt = 8/pi lies in [2, 2 sqrt 2].
+    assert rep.rhs == pytest.approx(2.0, rel=1e-12)
+    assert rep.method["upper"] == pytest.approx(2 * math.sqrt(2), rel=1e-12)
+    assert rep.rhs <= 8 / math.pi <= rep.method["upper"]
     assert rep.passed
 
 
