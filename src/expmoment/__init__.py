@@ -1,8 +1,8 @@
 """Windowed 2q-th moments of exponential sums S(t) = sum_n a_n e^{it phi_n},
-computed by three mutually checking methods (oscillatory quadrature, exact
-spectral expansion, Rademacher randomization), plus numerical verification
-of the associated moment inequalities and the divisor-sum lower bound for
-partial sums of zeta on the critical line.
+computed by oscillatory quadrature and exact spectral expansion, which
+cross-check each other (engine "both"), plus exact randomized-sign moments,
+numerical verification of the associated moment inequalities and the
+divisor-sum lower bound for partial sums of zeta on the critical line.
 """
 
 from .core import (

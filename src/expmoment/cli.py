@@ -29,7 +29,6 @@ from .core import (
     validate_order,
 )
 from .evaluate import _check_overflow, power_on_array
-from .quadrature import QuadratureConfig
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -58,10 +57,6 @@ def _load_instance(args) -> Instance:
     raise ExpMomentError("no instance given (use --instance or --inline)")
 
 
-def _config(args) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=args.rel_tol)
-
-
 # --------------------------------------------------------------------------
 # moment
 # --------------------------------------------------------------------------
@@ -70,7 +65,7 @@ def cmd_moment(args) -> int:
     instance = _load_instance(args)
     raw, meta = verify._raw_window_integral(instance, args.q,
                                             Window(args.center, args.T),
-                                            _config(args), args.engine)
+                                            args.engine)
     engine = meta["engine"]
     results = {}
     if engine != "quadrature":
@@ -97,37 +92,30 @@ def cmd_moment(args) -> int:
 def cmd_verify(args) -> int:
     if args.random < 1:
         raise ExpMomentError(f"--random must be >= 1, got {args.random}")
-    config = _config(args)
     checks = verify.CAMPAIGN_CHECKS if args.check == "all" else [args.check]
+    inst = coeffs = None
+    if args.instance or args.inline:
+        inst = _load_instance(args)
+        coeffs = dominated_coefficients([complex(a) for a in inst.amplitudes], inst)
     reports = []
     for check in checks:
         if check == "corollary":
-            reports.append(zeta.corollary_lower_bound(args.N, args.nu, args.T, config))
-            continue
-        if args.instance or args.inline:
-            inst = _load_instance(args)
-            if check == "theorem1":
-                reports.append(verify.check_theorem1(inst, args.q, args.T, config))
-            elif check == "lemma":
-                coeffs = dominated_coefficients(
-                    [complex(a) for a in inst.amplitudes], inst)
-                reports.append(verify.check_lemma(coeffs, args.q, args.T,
-                                                  args.T0, config))
-            elif check == "eq45":
-                coeffs = dominated_coefficients(
-                    [complex(a) for a in inst.amplitudes], inst)
-                reports.append(verify.check_eq45(coeffs, args.q, args.T,
-                                                 args.H, config))
-            elif check == "sup-chain":
-                reports.append(verify.check_sup_chain(inst, [args.T]))
-            elif check == "ingham":
-                reports.append(verify.check_ingham_mordell(inst, args.gamma))
-            elif check == "bohr":
-                reports.append(verify.check_bohr_bound(inst, args.index))
-            continue
-        count = min(args.random, 5) if args.quick else args.random
-        reports.extend(rep for _, rep in verify.campaign(check, count, args.seed,
-                                                          config, args.quick))
+            reports.append(zeta.corollary_lower_bound(args.N, args.nu, args.T))
+        elif inst is None:
+            count = min(args.random, 5) if args.quick else args.random
+            reports.extend(rep for _, rep in verify.campaign(check, count, args.seed))
+        elif check == "theorem1":
+            reports.append(verify.check_theorem1(inst, args.q, args.T))
+        elif check == "lemma":
+            reports.append(verify.check_lemma(coeffs, args.q, args.T, args.T0))
+        elif check == "eq45":
+            reports.append(verify.check_eq45(coeffs, args.q, args.T, args.H))
+        elif check == "sup-chain":
+            reports.append(verify.check_sup_chain(inst, [args.T]))
+        elif check == "ingham":
+            reports.append(verify.check_ingham_mordell(inst, args.gamma))
+        else:
+            reports.append(verify.check_bohr_bound(inst, args.index))
     for rep in reports:
         print(rep.to_json_line())
     if args.csv:
@@ -163,12 +151,11 @@ def cmd_zeta(args) -> int:
         print(json.dumps({k: v for k, v in fit.items() if k != "xs"}
                          | {"xs": [int(x) for x in fit["xs"]]}))
         return EXIT_OK
-    config = _config(args)
     sweep = _parse_sweep(args.sweep) if args.sweep else [args.N]
     print("N,lhs,rhs,divisor_sum,passed")
     ok = True
     for n in sweep:
-        rep = zeta.corollary_lower_bound(n, args.nu, args.T, config)
+        rep = zeta.corollary_lower_bound(n, args.nu, args.T)
         ok = ok and rep.passed
         print(",".join([str(n), _fmt(rep.lhs), _fmt(rep.rhs),
                         _fmt(rep.method["divisor_square_sum_upto_N"]),
@@ -217,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=float, default=0.0)
     p.add_argument("--engine", choices=["auto", "spectral", "quadrature", "both"],
                    default="auto")
-    p.add_argument("--rel-tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("verify", help="run inequality checks")
@@ -235,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=10)
     p.add_argument("--nu", type=int, default=1)
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--rel-tol", type=float, default=1e-9)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_verify)
 
@@ -246,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="N sweep as lo:hi:step")
     p.add_argument("--divisor-sum-only", action="store_true")
     p.add_argument("--x", type=float, help="divisor-sum upper limit")
-    p.add_argument("--rel-tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("plotdata", help="CSV samples of (t, |S(t)|^{2q})")

@@ -21,6 +21,7 @@ from .core import (
     DegenerateCosineError,
     ExpMomentError,
     Instance,
+    NonFiniteError,
     OverflowRangeError,
     Window,
     validate_order,
@@ -28,7 +29,6 @@ from .core import (
 from .evaluate import Grid, _check_overflow, abs_on_array
 from .fejer import KernelParams
 from .quadrature import (
-    DEFAULT_CONFIG,
     QuadratureConfig,
     _constant_modulus,
     bandlimit,
@@ -85,8 +85,7 @@ def _summary(source) -> dict:
             "energy": energy if math.isfinite(energy) else None}
 
 
-def _auto_engine(source, q: int, kernel: Window | KernelParams,
-                 config: QuadratureConfig) -> tuple[str, dict]:
+def _auto_engine(source, q: int, kernel: Window | KernelParams) -> tuple[str, dict]:
     """auto's engine and its reason: the cheaper of C(N + q - 1, q)^2 mode
     pairs and gauss_order * panels * N term-points, unless an exemption
     keeps it on the exact engine or off one that would refuse."""
@@ -95,7 +94,7 @@ def _auto_engine(source, q: int, kernel: Window | KernelParams,
     pieces, half = ((2, kernel.T / 2) if isinstance(kernel, KernelParams)
                     else (1, kernel.half_width))
     panels = pieces * max(1, math.ceil(half * band / _PANEL_HB))
-    spec, quad = _PAIR_COST * modes ** 2, config.gauss_order * panels * n
+    spec, quad = _PAIR_COST * modes ** 2, QuadratureConfig.gauss_order * panels * n
     budget = spectral.DEFAULT_TERM_BUDGET
     if spectral.integer_mode(source, q) and min(modes, int(band) + 1) ** 2 <= budget:
         engine, reason = "spectral", "integer_mode"
@@ -103,7 +102,7 @@ def _auto_engine(source, q: int, kernel: Window | KernelParams,
         # Exact in _gauss_rule at any T.  Otherwise an all-zero source with
         # T * B past 13 * max_panels would go to spectral, which can fail its budget.
         engine, reason = "quadrature", "constant_modulus"
-    elif panels > config.max_panels:
+    elif panels > QuadratureConfig.max_panels:
         engine, reason = "spectral", "quadrature_over_max_panels"
     elif modes ** 2 > budget:
         engine, reason = "quadrature", "spectral_over_budget"
@@ -113,7 +112,6 @@ def _auto_engine(source, q: int, kernel: Window | KernelParams,
 
 
 def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
-                         config: QuadratureConfig,
                          engine: str) -> tuple[float, dict]:
     """Unnormalized integral of |S|^{2q} against a window or a Fejer kernel.
 
@@ -125,7 +123,7 @@ def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
     _check_overflow(source, 2 * q, kernel.T if fejer else 2 * kernel.half_width)
     meta: dict = {}
     if engine == "auto":
-        engine, meta["auto"] = _auto_engine(source, q, kernel, config)
+        engine, meta["auto"] = _auto_engine(source, q, kernel)
     if engine not in ("spectral", "quadrature", "both"):
         raise ValueError(f"unknown engine {engine!r}")
     meta["engine"] = engine
@@ -137,9 +135,9 @@ def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
     if engine == "spectral":
         return value, meta
     if fejer:
-        res, scale = fejer_weighted_integral(source, q, kernel, config), 1.0
+        res, scale = fejer_weighted_integral(source, q, kernel), 1.0
     else:
-        res = windowed_average(source, q, kernel, config)
+        res = windowed_average(source, q, kernel)
         scale = 2 * kernel.half_width
     v_q = res.value * scale
     meta["error_estimate"] = res.error_estimate * scale
@@ -161,23 +159,20 @@ def _report(check: str, summary: dict, lhs: float, rhs: float, meta: dict,
 
 
 def _window_bound(check: str, summary: dict, source, q: int, half_width: float,
-                  lhs: float, config: QuadratureConfig, engine: str, /,
-                  **fields) -> VerificationReport:
+                  lhs: float, engine: str, /, **fields) -> VerificationReport:
     """lhs <= (1/2T) integral_{|t|<=T} |S|^{2q} dt, by the dispatcher."""
-    raw, meta = _raw_window_integral(source, q, Window(0.0, half_width),
-                                     config, engine)
+    raw, meta = _raw_window_integral(source, q, Window(0.0, half_width), engine)
     meta.update(fields)
     return _report(check, summary, lhs, raw / (2 * half_width), meta, meta)
 
 
 def _dominated(check: str, coeffs: ComplexCoefficients, q: int,
                shifted: Window | KernelParams, centred: Window | KernelParams,
-               factor: float, config: QuadratureConfig, engine: str,
-               **fields) -> VerificationReport:
+               factor: float, engine: str, **fields) -> VerificationReport:
     """c-sum against ``shifted`` <= factor * a-sum against ``centred``."""
     q = validate_order(q)
-    lhs, meta_l = _raw_window_integral(coeffs, q, shifted, config, engine)
-    rhs, meta_r = _raw_window_integral(coeffs.dominating, q, centred, config, engine)
+    lhs, meta_l = _raw_window_integral(coeffs, q, shifted, engine)
+    rhs, meta_r = _raw_window_integral(coeffs.dominating, q, centred, engine)
     meta = {"engine": meta_l["engine"], "q": q, **fields,
             "rhs_engine": meta_r["engine"],
             "rational_mode": meta_l.get("rational_mode", False)}
@@ -189,31 +184,28 @@ def _dominated(check: str, coeffs: ComplexCoefficients, q: int,
 
 
 def check_theorem1(instance: Instance, q: int, half_width: float,
-                   config: QuadratureConfig = DEFAULT_CONFIG,
                    engine: str = "auto") -> VerificationReport:
     """(1/3)(sum a_n^2)^q <= (1/2T) integral_{|t|<=T} |S|^{2q} dt."""
     q = validate_order(q)
     return _window_bound("theorem1", _summary(instance), instance, q, half_width,
-                         THEOREM_CONSTANT * instance.energy() ** q, config, engine,
+                         THEOREM_CONSTANT * instance.energy() ** q, engine,
                          q=q, T=half_width, constant=THEOREM_CONSTANT)
 
 
 def check_lemma(coeffs: ComplexCoefficients, q: int, half_width: float,
-                center: float, config: QuadratureConfig = DEFAULT_CONFIG,
-                engine: str = "auto") -> VerificationReport:
+                center: float, engine: str = "auto") -> VerificationReport:
     """Shifted-window majorization: the c-sum integral over |t - T0| <= T is
     at most 3x the a-sum integral over |t| <= T."""
     return _dominated("lemma", coeffs, q, Window(center, half_width),
-                      Window(0.0, half_width), 3.0, config, engine,
+                      Window(0.0, half_width), 3.0, engine,
                       T=half_width, T0=center)
 
 
 def check_eq45(coeffs: ComplexCoefficients, q: int, half_width: float,
-               shift: float, config: QuadratureConfig = DEFAULT_CONFIG,
-               engine: str = "auto") -> VerificationReport:
+               shift: float, engine: str = "auto") -> VerificationReport:
     """Kernel-weighted domination: shifted c-sum value <= centered a-sum value."""
     return _dominated("eq45", coeffs, q, KernelParams(half_width, shift),
-                      KernelParams(half_width, 0.0), 1.0, config, engine,
+                      KernelParams(half_width, 0.0), 1.0, engine,
                       T=half_width, H=shift)
 
 
@@ -250,9 +242,10 @@ def _l1_sides(instance: Instance, T: float) -> tuple[float, float]:
 
 def _sup_grid_points(instance: Instance, length: float) -> int:
     span = max(instance.frequencies) - min(instance.frequencies)
-    # ~50 samples per oscillation, clamped to keep desk-scale runtimes.
-    want = int(50 * span * length / (2 * math.pi)) + 1
-    return min(max(want, 20_001), 400_001)
+    # ~50 samples per oscillation, clamped (in float, so an infinite
+    # length is capped too) to keep desk-scale runtimes.
+    want = 50 * span * length / (2 * math.pi)
+    return int(min(max(want, 20_000), 400_000)) + 1
 
 
 def check_sup_chain(instance: Instance, half_widths) -> VerificationReport:
@@ -267,6 +260,10 @@ def check_sup_chain(instance: Instance, half_widths) -> VerificationReport:
     half_widths = sorted(float(t) for t in half_widths)
     if not half_widths:
         raise BadGapError("need at least one window half-width")
+    for T in half_widths:
+        if not (math.isfinite(2 * T) and T > 0):
+            raise NonFiniteError(
+                f"sup-chain half-width must be > 0 with 2T finite, got {T!r}")
     if len(set(instance.frequencies)) != instance.size:
         raise BadGapError("sup-chain check needs distinct frequencies")
     sup_a = max(instance.amplitudes)
@@ -293,8 +290,8 @@ def check_ingham_mordell(instance: Instance, gap: float) -> VerificationReport:
     _check_overflow(instance, 1)
     if instance.size < 2:
         raise BadGapError("need N >= 2")
-    if gap <= 0:
-        raise BadGapError("gap must be > 0")
+    if not (gap > 0 and math.isfinite(math.pi / gap)):  # also refuses nan
+        raise BadGapError(f"gap must be > 0 with pi/gap finite, got {gap!r}")
     phis = instance.frequencies
     # allow roundoff parity: arithmetic progressions built in floating point
     # can fall short of the nominal gap by a few ulps
@@ -336,6 +333,9 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
     t_max = (math.pi / 2) * (n / phis[n - 1]
                              + math.fsum(1.0 / phis[j - 1]
                                          for j in range(n + 1, big_n + 1)))
+    if not math.isfinite(t_max):
+        raise OverflowRangeError(
+            f"t_max = {t_max!r} is out of range; rescale the frequencies")
     sup_s = _grid_sup(instance, -t_max, t_max,
                       _sup_grid_points(instance, 2 * t_max))
     if sup_s > product * 1e300:
@@ -375,14 +375,12 @@ def random_dominated(rng, instance: Instance) -> ComplexCoefficients:
     return ComplexCoefficients(values, instance)
 
 
-def campaign(check: str, count: int, seed: int,
-             config: QuadratureConfig = DEFAULT_CONFIG, quick: bool = False):
+def campaign(check: str, count: int, seed: int):
     """Yield (source, report) for ``count`` seeded random cases of one check.
 
     Every case draws q first, then the instance, then the check's
     parameters.  The checks are looked up as module globals at each call,
-    so a wrapper installed on ``verify.check_*`` sees every case.  With
-    ``quick`` the sup chain stops at T = 100.
+    so a wrapper installed on ``verify.check_*`` sees every case.
     """
     if check not in CAMPAIGN_CHECKS:
         raise ExpMomentError(f"no randomized campaign for {check!r}")
@@ -392,23 +390,22 @@ def campaign(check: str, count: int, seed: int,
         if check == "theorem1":
             source = random_instance(rng, max_n=8)
             T = float(rng.uniform(0.01, 100.0))
-            report = check_theorem1(source, q, T, config)
+            report = check_theorem1(source, q, T)
         elif check == "lemma":
             source = random_dominated(rng, random_instance(rng, max_n=6))
             T = float(rng.uniform(0.1, 50.0))
             T0 = float(rng.uniform(-1e3, 1e3))
-            report = check_lemma(source, q, T, T0, config)
+            report = check_lemma(source, q, T, T0)
         elif check == "eq45":
             n = int(rng.integers(1, 6))
             inst = _instance(rng.uniform(0, 1, n), rng.integers(-10, 11, n))
             source = random_dominated(rng, inst)
             T = float(rng.uniform(0.1, 50.0))
             H = float(rng.uniform(-100.0, 100.0))
-            report = check_eq45(source, q, T, H, config)
+            report = check_eq45(source, q, T, H)
         elif check == "sup-chain":
             source = random_instance(rng, max_n=4, freq_range=(-2.0, 2.0))
-            half_widths = (10.0, 100.0) if quick else (10.0, 100.0, 1000.0)
-            report = check_sup_chain(source, half_widths)
+            report = check_sup_chain(source, (10.0, 100.0, 1000.0))
         elif check == "ingham":
             n = int(rng.integers(2, 6))
             gamma = float(rng.uniform(0.5, 2.0))

@@ -15,7 +15,6 @@ from .core import (
     OverflowRangeError,
     validate_order,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .verify import THEOREM_CONSTANT, VerificationReport, _window_bound
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
@@ -282,7 +281,6 @@ def zeta_instance(N: int) -> Instance:
 
 
 def corollary_lower_bound(N: int, nu: int, half_width: float,
-                          config: QuadratureConfig = DEFAULT_CONFIG,
                           engine: str = "auto") -> VerificationReport:
     """(1/3) sum_{m<=N^nu} b_m^2/m <= (1/2T) integral |sum n^{-1/2-it}|^{2 nu} dt.
 
@@ -295,7 +293,7 @@ def corollary_lower_bound(N: int, nu: int, half_width: float,
     table = power_coefficients(N, nu)
     coeff_sum = coefficient_square_sum(table)
     return _window_bound("corollary", {"N": N, "nu": nu}, zeta_instance(N), nu,
-                         half_width, THEOREM_CONSTANT * coeff_sum, config, engine,
+                         half_width, THEOREM_CONSTANT * coeff_sum, engine,
                          N=N, nu=nu, T=half_width,
                          coefficient_square_sum=coeff_sum,
                          divisor_square_sum_upto_N=coefficient_square_sum(table, N),

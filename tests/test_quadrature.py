@@ -15,7 +15,6 @@ from expmoment.core import (
 )
 from expmoment.fejer import KernelParams
 from expmoment.quadrature import (
-    DEFAULT_CONFIG,
     QuadratureConfig,
     bandlimit,
     fejer_weighted_integral,
@@ -72,7 +71,7 @@ def test_windowed_average_equal_frequencies_constant(source, modulus, q):
     assert (res.value, res.error_estimate) == (3 * modulus ** (2 * q), 0.0)
     assert res.metadata["constant"]
     for kernel in (window, params):
-        _, meta = _raw_window_integral(source, q, kernel, DEFAULT_CONFIG, "both")
+        _, meta = _raw_window_integral(source, q, kernel, "both")
         assert meta["engines_agree"]
 
 

@@ -12,6 +12,7 @@ from expmoment.core import (
     DegenerateCosineError,
     ExpMomentError,
     NonFiniteError,
+    OverflowRangeError,
     TermBudgetExceededError,
     Window,
     dominated_coefficients,
@@ -19,7 +20,7 @@ from expmoment.core import (
 )
 from expmoment.evaluate import eval_sum
 from expmoment.fejer import KernelParams
-from expmoment.quadrature import DEFAULT_CONFIG, bandlimit, windowed_average
+from expmoment.quadrature import bandlimit, windowed_average
 from expmoment.spectral import expand, fejer_weighted_exact
 from expmoment.verify import (
     check_bohr_bound,
@@ -287,19 +288,31 @@ _PAIR = validate_instance([1.0, 1.0], [0.0, 1.5])
     (lambda: dominated_coefficients([math.nan, 0], _PAIR), NonFiniteError),
     (lambda: eval_sum(_PAIR, math.inf), NonFiniteError),
     (lambda: check_sup_chain(_PAIR, []), BadGapError),
+    (lambda: check_sup_chain(_PAIR, [10.0, 1e308]), NonFiniteError),
+    (lambda: check_sup_chain(_PAIR, [math.inf]), NonFiniteError),
+    (lambda: check_sup_chain(_PAIR, [math.nan]), NonFiniteError),
+    (lambda: check_sup_chain(_PAIR, [0.0]), NonFiniteError),
+    (lambda: check_sup_chain(_PAIR, [-5.0, 10.0]), NonFiniteError),
     (lambda: check_ingham_mordell(validate_instance([1.0], [0.0]), 1.0), BadGapError),
     (lambda: check_ingham_mordell(_PAIR, 0.0), BadGapError),
+    (lambda: check_ingham_mordell(_PAIR, math.nan), BadGapError),
+    (lambda: check_ingham_mordell(_PAIR, 1e-320), BadGapError),
     (lambda: check_bohr_bound(validate_instance([1.0, 1.0], [1.0, 2.0]), 3),
      BadGapError),
     (lambda: check_bohr_bound(validate_instance([1.0, 1.0], [1.0, 1.0 + 1e-13]), 2),
      DegenerateCosineError),
+    (lambda: check_bohr_bound(validate_instance([1.0, 1.0], [1e-320, 1.0]), 1),
+     OverflowRangeError),
     (lambda: list(verify.campaign("nope", 1, 1)), ExpMomentError),
     (lambda: check_theorem1(_PAIR, 1, 1.0, engine="nope"), ValueError),
     (lambda: zeta.coefficient_square_sum(zeta.power_coefficients(5, 2), 26),
      BudgetExceededError),
 ], ids=["kernel-nan", "kernel-zero-T", "coefficient-nan", "eval-inf-t",
-        "sup-chain-no-T", "ingham-N1", "ingham-gap0", "bohr-index-range",
-        "bohr-degenerate-cosine", "campaign-unknown", "engine-unknown",
+        "sup-chain-no-T", "sup-chain-2T-overflow", "sup-chain-inf-T",
+        "sup-chain-nan-T", "sup-chain-zero-T", "sup-chain-negative-T",
+        "ingham-N1", "ingham-gap0", "ingham-gap-nan", "ingham-gap-subnormal",
+        "bohr-index-range", "bohr-degenerate-cosine", "bohr-infinite-t-max",
+        "campaign-unknown", "engine-unknown",
         "square-sum-past-table"])
 def test_refusals_raise_their_typed_error(call, error):
     with pytest.raises(error) as info:
@@ -381,7 +394,7 @@ def test_auto_point_estimate_tracks_the_gauss_rule():
         if T * bandlimit(source, q) < 100:
             continue
         window = Window(0.0, T)
-        _, prices = verify._auto_engine(source, q, window, DEFAULT_CONFIG)
+        _, prices = verify._auto_engine(source, q, window)
         estimate = prices["quadrature_price"] / source.size
         points = windowed_average(source, q, window).metadata["points"]
         assert 0.5 <= estimate / points <= 2.0, (source, q, T)
