@@ -43,7 +43,8 @@ class DominationError(ExpMomentError):
 
 class OverflowRangeError(ExpMomentError):
     """A value would leave its number type: (sum a_n)^{2q} the double range
-    (rescale the amplitudes), or a divisor count the int64 range."""
+    (rescale the amplitudes), a phase t phi_n the double range (rescale the
+    frequencies), or a divisor count the int64 range."""
 
 
 class NotConvergedError(ExpMomentError):

@@ -231,8 +231,15 @@ def _l1_sides(instance: Instance, T: float) -> tuple[float, float]:
     |v_n| <= the L1 average, so lower = max |v_n|.  By Cauchy-Schwarz the L1
     average is at most the root of the q = 1 window moment
     (1/2T) integral |S|^2 = a . K a, so upper = sqrt(a . v).  Both are taken
-    on a / max a, so that sum a_n^2 may overflow.
+    on a / max a, so that sum a_n^2 may overflow.  Raises
+    OverflowRangeError when 2 max(T, 1) max|phi_n| leaves the double range:
+    it bounds every phase t phi_n with |t| <= T, every difference d and
+    every sinc argument T d.
     """
+    if not math.isfinite(2 * max(T, 1.0) * max(map(abs, instance.frequencies))):
+        raise OverflowRangeError(
+            f"2 max(T, 1) max|phi| is out of range at T = {T!r}; "
+            "rescale the frequencies")
     phis = np.asarray(instance.frequencies)
     scale = max(instance.amplitudes) or 1.0
     a = np.asarray(instance.amplitudes) / scale
@@ -267,10 +274,10 @@ def check_sup_chain(instance: Instance, half_widths) -> VerificationReport:
     if len(set(instance.frequencies)) != instance.size:
         raise BadGapError("sup-chain check needs distinct frequencies")
     sup_a = max(instance.amplitudes)
+    lower, upper = map(list, zip(*(_l1_sides(instance, T) for T in half_widths)))
     largest = half_widths[-1]
     sup_s = _grid_sup(instance, -largest, largest,
                       _sup_grid_points(instance, 2 * largest))
-    lower, upper = map(list, zip(*(_l1_sides(instance, T) for T in half_widths)))
     chain = all(inequality_holds(lo, up) and inequality_holds(up, sup_s)
                 for lo, up in zip(lower, upper))
     meta = {"engine": "closed_form", "half_widths": half_widths,

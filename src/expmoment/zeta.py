@@ -19,6 +19,7 @@ from .verify import THEOREM_CONSTANT, VerificationReport, _window_bound
 
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 _BLOCK = 1 << 18  # output entries per block of the b_m convolution
+_WIDTHS = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class CoefficientTable:
     nu: int
     N: int
     limit: int
-    b: np.ndarray  # _table_dtype(limit, nu), index m in 0..limit; b[0] unused
+    b: np.ndarray  # narrowest width its values need; index m in 0..limit; b[0] unused
 
     def total(self) -> int:
         return int(self.b.sum(dtype=np.int64))
@@ -78,34 +79,65 @@ def _max_divisor_count(x: int, nu: int) -> int:
     return walk(1, 0, x.bit_length(), 1)
 
 
-def _table_dtype(x: int, nu: int) -> type:
+def _table_dtype(x: int, nu: int) -> np.dtype:
     """Narrowest of int16 / int32 / int64 holding max_{m<=x} d_nu(m), or raise."""
     top = _max_divisor_count(x, nu)
     if top > np.iinfo(np.int64).max:
         raise OverflowRangeError(
             f"max d_{nu}(m) over m <= {x} is {top:.3e}, beyond int64")
-    return next(t for t in (np.int16, np.int32, np.int64)
-                if top <= np.iinfo(t).max)
+    return next(t for t in _WIDTHS if top <= np.iinfo(t).max)
 
 
-def _indicator_power(M: int, nu: int, limit: int, dtype: type) -> np.ndarray:
+def _convolve_round(cur: np.ndarray, M: int, size: int, dtype: np.dtype,
+                    cap: np.dtype) -> np.ndarray | None:
+    """new[m d] += cur[m] for d <= M and m d <= size, in dtype or else cap.
+
+    Output blocks of _BLOCK entries keep the strided writes in cache.  Every
+    entry is a sum of non-negative terms and an integer add wraps modulo
+    2^bits, so a stored entry equals its true value when that fits and is
+    below it otherwise.  A block is therefore exact when its int64 sum
+    equals its exact tuple count sum_d (P[m1] - P[m0 - 1]), with P the
+    int64 cumsum of cur; the first block that falls short returns None.
+    cap holds every entry, so a round in it needs no check: it runs there
+    when dtype is cap or when P (8 bytes per entry of cur) would cost more
+    than dtype saves, so no round takes more memory than one in cap.
+    """
+    top = cur.size - 1
+    checked = dtype != cap and 8 * top <= (cap.itemsize - dtype.itemsize) * size
+    prefix = np.cumsum(cur, dtype=np.int64) if checked else None
+    new = np.zeros(size + 1, dtype=dtype if checked else cap)
+    for lo in range(0, size + 1, _BLOCK):
+        hi = min(lo + _BLOCK, size + 1)
+        ds = range(max(1, -(-lo // top)), min(M, hi - 1) + 1)
+        for d in ds:
+            m0, m1 = max(1, -(-lo // d)), min(top, (hi - 1) // d)
+            new[m0 * d:m1 * d + 1:d] += cur[m0:m1 + 1]
+        if checked:
+            d = np.arange(ds.start, ds.stop)
+            m0, m1 = np.maximum(1, -(-lo // d)), np.minimum(top, (hi - 1) // d)
+            count = sum((prefix[m1] - prefix[m0 - 1]).tolist())
+            if int(new[lo:hi].sum(dtype=np.int64)) != count:
+                return None
+    return new
+
+
+def _indicator_power(M: int, nu: int, limit: int, cap: np.dtype) -> np.ndarray:
     """nu-fold Dirichlet convolution of the indicator of [1, M], at m <= limit.
 
-    The r-fold convolution vanishes above M^r, so round r fills only
-    min(limit, M^r) + 1 entries, _BLOCK of them at a time so that the
-    strided writes new[m d] += cur[m] stay in cache.  Every partial sum of
-    these non-negative terms is <= d_r(m) <= d_nu(m), so dtype holds it.
+    The r-fold convolution b_r vanishes above M^r, so round r fills only
+    min(limit, M^r) + 1 entries.  It starts in round r-1's width, since
+    b_r(m) >= b_{r-1}(m) (a tuple can take a trailing factor 1), and moves
+    to the next width when a block wraps; cap = _table_dtype(limit, nu)
+    holds every b_r <= d_nu and ends the search.
     """
-    cur = np.ones(min(M, limit) + 1, dtype=dtype)
+    cur = np.ones(min(M, limit) + 1, dtype=np.int16)
     cur[0] = 0
     for r in range(2, nu + 1):
-        size, top = min(limit, M ** r), cur.size - 1
-        new = np.zeros(size + 1, dtype=dtype)
-        for lo in range(0, size + 1, _BLOCK):
-            hi = min(lo + _BLOCK, size + 1)
-            for d in range(max(1, -(-lo // top)), min(M, hi - 1) + 1):
-                m0, m1 = max(1, -(-lo // d)), min(top, (hi - 1) // d)
-                new[m0 * d:m1 * d + 1:d] += cur[m0:m1 + 1]
+        size = min(limit, M ** r)
+        for dtype in _WIDTHS[_WIDTHS.index(cur.dtype):]:
+            new = _convolve_round(cur, M, size, dtype, cap)
+            if new is not None:
+                break
         cur = new
     return cur
 
@@ -114,8 +146,10 @@ def power_coefficients(N: int, nu: int, limit: int | None = None) -> Coefficient
     """nu-fold Dirichlet convolution of the indicator of [1, N], exact integers.
 
     A table truncated at limit < N^nu is exact for every m <= limit (all
-    factors of a product <= limit are themselves <= limit).  It is in
-    _table_dtype(limit, nu), as b_m <= d_nu(m), which raises past int64.
+    factors of a product <= limit are themselves <= limit).  It is in the
+    narrowest of int16 / int32 / int64 that its own values need, save the
+    memory rule of _convolve_round.  _table_dtype(limit, nu) bounds that
+    width, as b_m <= d_nu(m), and raises past int64 before any round runs.
     """
     nu = validate_order(nu)
     N = _as_int("N", N)

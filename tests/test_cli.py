@@ -168,6 +168,14 @@ _TWO = "a=1,0.5;phi=0,1"
     (["ingham", "--inline", _TWO, "--gamma", "nan"], "gap must be > 0"),
     (["ingham", "--inline", _TWO, "--gamma", "1e-320"], "pi/gap finite"),
     (["bohr", "--inline", "a=1,1;phi=1e-320,1", "--index", "1"], "t_max = inf"),
+    # Phases t*phi, differences phi_m - phi_n or sinc arguments past the
+    # double range: unrefused, each prints a non-JSON error.
+    (["sup-chain", "--inline", "a=1,0.5;phi=0,1e10", "--T", "1e300"], "max|phi|"),
+    (["sup-chain", "--inline", "a=1,0.5;phi=-1e308,1e308", "--T", "1e-3"],
+     "max|phi|"),
+    (["ingham", "--inline", "a=1,1;phi=0,1e300", "--gamma", "1e-10"], "max|phi|"),
+    (["ingham", "--inline", "a=1,1;phi=-1e308,1e308", "--gamma", "1e300"],
+     "max|phi|"),
 ])
 def test_verify_out_of_range_is_invalid(argv, named, capsys):
     assert main(["verify", *argv]) == EXIT_INVALID

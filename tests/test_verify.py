@@ -280,6 +280,7 @@ def test_bohr_rejects_nonpositive_frequencies():
 
 
 _PAIR = validate_instance([1.0, 1.0], [0.0, 1.5])
+_HUGE_PHASES = validate_instance([1.0, 1.0], [-1e308, 1e308])
 
 
 @pytest.mark.parametrize("call, error", [
@@ -303,6 +304,12 @@ _PAIR = validate_instance([1.0, 1.0], [0.0, 1.5])
      DegenerateCosineError),
     (lambda: check_bohr_bound(validate_instance([1.0, 1.0], [1e-320, 1.0]), 1),
      OverflowRangeError),
+    (lambda: check_sup_chain(validate_instance([1.0, 0.5], [0.0, 1e10]), [1e300]),
+     OverflowRangeError),
+    (lambda: check_sup_chain(_HUGE_PHASES, [1e-3]), OverflowRangeError),
+    (lambda: check_ingham_mordell(validate_instance([1.0, 1.0], [0.0, 1e300]), 1e-10),
+     OverflowRangeError),
+    (lambda: check_ingham_mordell(_HUGE_PHASES, 1e300), OverflowRangeError),
     (lambda: list(verify.campaign("nope", 1, 1)), ExpMomentError),
     (lambda: check_theorem1(_PAIR, 1, 1.0, engine="nope"), ValueError),
     (lambda: zeta.coefficient_square_sum(zeta.power_coefficients(5, 2), 26),
@@ -312,6 +319,8 @@ _PAIR = validate_instance([1.0, 1.0], [0.0, 1.5])
         "sup-chain-nan-T", "sup-chain-zero-T", "sup-chain-negative-T",
         "ingham-N1", "ingham-gap0", "ingham-gap-nan", "ingham-gap-subnormal",
         "bohr-index-range", "bohr-degenerate-cosine", "bohr-infinite-t-max",
+        "sup-chain-phase-overflow", "sup-chain-difference-overflow",
+        "ingham-phase-overflow", "ingham-difference-overflow",
         "campaign-unknown", "engine-unknown",
         "square-sum-past-table"])
 def test_refusals_raise_their_typed_error(call, error):

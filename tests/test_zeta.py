@@ -62,9 +62,8 @@ def _naive_indicator_power(n, nu, limit):
     return cur
 
 
-def _narrowest(x, nu):
-    """The first of int16 / int32 / int64 that holds max_{m<=x} d_nu(m)."""
-    top = _max_divisor_count(x, nu)
+def _narrowest(top):
+    """The first of int16 / int32 / int64 that holds top."""
     return next(t for t in (np.int16, np.int32, np.int64)
                 if top <= np.iinfo(t).max)
 
@@ -73,16 +72,53 @@ def test_blocked_convolution_matches_whole_table(monkeypatch):
     # The default block holds 2^18 entries, so 70^3 = 343,000 spans two.
     table = power_coefficients(70, 3)
     assert table.b.size > zeta._BLOCK
-    assert table.b.dtype == _narrowest(70 ** 3, 3)
+    assert table.b.dtype == _narrowest(int(table.b.max()))
     assert np.array_equal(table.b, _naive_indicator_power(70, 3, None))
     monkeypatch.setattr(zeta, "_BLOCK", 64)
     for n, nu, limit in ((7, 3, 100), (5, 4, 200), (12, 2, 50), (30, 3, None),
                          (20, 4, None), (10, 10, 1000)):
         table = power_coefficients(n, nu, limit=limit)
-        assert table.b.dtype == _narrowest(table.limit, nu)
+        assert table.b.dtype == _narrowest(int(table.b.max()))
         assert np.array_equal(table.b, _naive_indicator_power(n, nu, limit))
-    # The last case runs past int16: max d_10(m <= 1000) = d_10(720) = 393,250.
+    # The last case runs past int16: max b_m = b_720 = 288,540.
     assert table.b.dtype == np.int32
+
+
+@pytest.mark.parametrize("n, nu, dtype", [
+    (300, 3, np.int16),  # max b_m 1,530; max d_3(m <= 300^3) 34,020
+    (4, 10, np.int32),   # max b_m 49,815; max d_10 2.0e9
+    (3, 14, np.int32),   # max b_m 252,252; max d_14 8.4e11
+])
+def test_table_takes_the_width_of_its_own_values(n, nu, dtype):
+    table = power_coefficients(n, nu)
+    assert table.b.dtype == dtype == _narrowest(int(table.b.max()))
+    # A wrapped entry is stored below its true value, so the right total
+    # leaves none wrapped.
+    assert table.total() == n ** nu
+    if n ** nu < 10 ** 6:
+        assert np.array_equal(table.b, _naive_indicator_power(n, nu, None))
+
+
+def test_a_wrap_in_a_late_block_moves_the_round_up(monkeypatch):
+    # b_8 for N = 6 first passes int16 at m = 4320, in block 67 of the last
+    # round at 64 entries a block; that block must send the round to int32.
+    monkeypatch.setattr(zeta, "_BLOCK", 64)
+    attempts = []
+    convolve = zeta._convolve_round
+
+    def spy(cur, M, size, dtype, cap):
+        new = convolve(cur, M, size, dtype, cap)
+        attempts.append((size, dtype, new is None))
+        return new
+
+    monkeypatch.setattr(zeta, "_convolve_round", spy)
+    table = power_coefficients(6, 8)
+    naive = _naive_indicator_power(6, 8, None)
+    assert np.flatnonzero(naive > np.iinfo(np.int16).max)[0] // 64 == 67
+    assert attempts[-2:] == [(6 ** 8, np.int16, True), (6 ** 8, np.int32, False)]
+    assert not any(wrapped for _, _, wrapped in attempts[:-2])
+    assert table.b.dtype == np.int32
+    assert np.array_equal(table.b, naive)
 
 
 def test_total_sums_past_the_table_dtype():
@@ -106,6 +142,11 @@ def test_tables_allocate_no_wide_copy():
     # int64 working array would add 8.
     assert _peak_bytes(lambda: divisor_table(10 ** 6, 2)) <= 5 * (10 ** 6 + 1)
     assert _peak_bytes(lambda: power_coefficients(100, 3)) <= 3 * (10 ** 6 + 1)
+    # max d_4(m <= 30^4) is 107,520, but max b_m is 1,644: int16, not int32.
+    assert _peak_bytes(lambda: power_coefficients(30, 4)) <= 3 * (30 ** 4 + 1)
+    # Rounds 4 and 5 fill all 10^6 entries, so an int16 try there would add
+    # an int64 prefix of 10^6 entries: they run in the int32 cap instead.
+    assert _peak_bytes(lambda: power_coefficients(100, 5, 10 ** 6)) <= 9 * (10 ** 6 + 1)
 
 
 def test_nonpositive_limit_is_invalid():
@@ -180,7 +221,7 @@ def test_divisor_table_matches_brute_force():
     for nu in range(1, 6):
         for x in (1, 2, 3, 4, 40, 48, 49, 50, 120, 121):
             table = divisor_table(x, nu)
-            assert table.d.dtype == _narrowest(x, nu)
+            assert table.d.dtype == _narrowest(_max_divisor_count(x, nu))
             assert table.d.tolist() == [0] + [d_nu_brute(m, nu)
                                               for m in range(1, x + 1)]
 
@@ -224,7 +265,7 @@ def test_divisor_table_working_dtypes():
     nu = 1
     while _max_divisor_count(1000, nu) <= np.iinfo(np.int64).max:
         table = divisor_table(1000, nu)
-        assert table.d.dtype == _narrowest(1000, nu)
+        assert table.d.dtype == _narrowest(_max_divisor_count(1000, nu))
         dtypes.add(table.d.dtype)
         assert table.d[1:].tolist() == [_factor_divisor_count(m, nu)
                                         for m in range(1, 1001)]
