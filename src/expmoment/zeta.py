@@ -29,7 +29,7 @@ class CoefficientTable:
     nu: int
     N: int
     limit: int
-    b: np.ndarray  # narrowest width its values need; index m in 0..limit; b[0] unused
+    b: np.ndarray  # m in 0..limit, b[0] unused; width by value (power_coefficients)
 
     def total(self) -> int:
         return int(self.b.sum(dtype=np.int64))
