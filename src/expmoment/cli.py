@@ -147,7 +147,7 @@ def cmd_zeta(args) -> int:
         if args.x is not None and not (math.isfinite(args.x) and args.x > 1e3):
             raise ExpMomentError(f"--x must be a finite number > 1e3, got {args.x}")
         fit = zeta.growth_fit(args.nu, xs=None if args.x is None else
-                              np.unique(np.geomspace(1e3, args.x, 15).astype(np.int64)))
+                              sorted({int(v) for v in np.geomspace(1e3, args.x, 15)}))
         print(json.dumps({k: v for k, v in fit.items() if k != "xs"}
                          | {"xs": [int(x) for x in fit["xs"]]}))
         return EXIT_OK

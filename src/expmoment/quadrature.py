@@ -50,6 +50,7 @@ _CHUNK = 1 << 18
 # only how close the panels come to the widest admissible ones.
 _RHOS = np.exp(np.geomspace(0.02, 12.0, 96))
 _YS = np.concatenate(([0.0], np.geomspace(1e-4, 1e3, 160)))
+_LOG_MAX = math.log(np.finfo(np.float64).max)  # e^x is finite for x <= this
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,33 @@ def bandlimit(source: Instance | ComplexCoefficients, q: int) -> float:
     return q * (max(phis) - min(phis))
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    prev, cur = np.ones_like(x), x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+    return cur, n * (x * cur - prev) / (x * x - 1)
+
+
 @functools.lru_cache(maxsize=None)
 def gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    nodes, weights = np.polynomial.legendre.leggauss(QuadratureConfig.gauss_order)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built on first use.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence, off-diagonal k / sqrt(4k^2 - 1) (Golub and Welsch, Math.
+    Comp. 23 (1969)), refined by two Newton steps on P_n; the weights are
+    2 / ((1 - x^2) P_n'(x)^2).  Both are symmetrized about 0.
+    """
+    n = QuadratureConfig.gauss_order
+    k = np.arange(1.0, n)
+    off = np.diag(k / np.sqrt(4 * k * k - 1), 1)
+    nodes = np.linalg.eigvalsh(off + off.T)
+    for _ in range(2):
+        p, dp = _legendre(n, nodes)
+        nodes = nodes - p / dp
+    dp = _legendre(n, nodes)[1]
+    weights = 2 / ((1 - nodes * nodes) * dp * dp)
+    nodes, weights = (nodes - nodes[::-1]) / 2, (weights + weights[::-1]) / 2
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -144,8 +168,9 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     (complex sources can cancel) it is re-sized from the computed value,
     and then from the absolute floor alone.  As |value|
     <= scale, a capped bound past (rel_tol + 1e-15) * scale cannot pass and
-    is refused before evaluating, with value nan.  A constant |S| is exact
-    with no panels: |S|^{2q} * mass, bound 0.
+    is refused before evaluating, with value nan; the two are compared in
+    logs, and a bound past the double range is reported as inf.  A
+    constant |S| is exact with no panels: |S|^{2q} * mass, bound 0.
     Returns (integral / norm, bound / norm, metadata).
     """
     if (modulus := _constant_modulus(source)) is not None:
@@ -168,8 +193,9 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
         log_bounds = (_LOG_GAUSS_FACTOR + log_m(h * (_RHOS - 1 / _RHOS) / 2)
                       + np.log(weight(h, _RHOS)))
         best = int(np.argmin(log_bounds))
-        bound = math.exp(log_bounds[best])
-        if capped and bound > (config.rel_tol + 1e-15) * scale:
+        log_bound = float(log_bounds[best])
+        bound = math.exp(log_bound) if log_bound <= _LOG_MAX else math.inf
+        if capped and log_bound > math.log((config.rel_tol + 1e-15) * scale):
             raise NotConvergedError(math.nan, bound / norm)
         idx = np.arange(pieces * per_piece)
         total = float(np.sum(_panel_sums(f, lo, 2 * h, idx, nodes, weights)))

@@ -20,6 +20,8 @@ from .verify import THEOREM_CONSTANT, VerificationReport, _window_bound
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 _BLOCK = 1 << 18  # output entries per block of the b_m convolution
 _WIDTHS = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64))
+_WHEEL = {2: 4, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1}  # p: e
+_PERIOD = math.prod(p ** e for p, e in _WHEEL.items())  # 720,720
 
 
 @dataclass(frozen=True)
@@ -180,13 +182,40 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
 
 
+def _raise_powers(d: np.ndarray, p: int, k: int, last: float, nu: int) -> None:
+    """For k <= j <= last and p^j < d.size, raise the factor of the multiples
+    of p^j in d (index m stands for m) from d_nu(p^{j-1}) to d_nu(p^j)."""
+    pk = p ** k
+    while pk < d.size and k <= last:
+        old, new = math.comb(k + nu - 2, nu - 1), math.comb(k + nu - 1, nu - 1)
+        if old != 1:
+            d[pk::pk] //= old
+        if new != old:
+            d[pk::pk] *= new
+        pk, k = pk * p, k + 1
+
+
 def divisor_table(x: int, nu: int) -> DivisorTable:
     """Sieve d_nu(m) for m <= x, exact integers.
 
-    d_nu is multiplicative with d_nu(p^k) = C(k + nu - 1, nu - 1).  Each
-    prime p <= sqrt(x) raises the factor of the multiples of p^k from
-    d_nu(p^{k-1}) to d_nu(p^k).  A prime p > sqrt(x) divides m <= x at most
-    once, with cofactor j < sqrt(x), so one pass multiplies d[p j] by nu.
+    d_nu is multiplicative with d_nu(p^k) = C(k + nu - 1, nu - 1), in three
+    exact steps:
+
+    1. Wheel.  Up to exponent e, the factor of m from each p^e of
+       _WHEEL = 2^4 3^2 5 7 11 13 depends only on m mod 720,720, which p^e
+       divides.  It is built once over residues 1..min(720720, x), the last
+       standing for residue 0, and copied forward over the table.
+    2. Small primes.  Each prime p <= sqrt(x) raises the factor of the
+       multiples of p^k from d_nu(p^{k-1}) to d_nu(p^k), a wheel prime from
+       its next power p^{e+1} on.  Now d[m] is d_nu of the largest divisor
+       of m with every prime <= sqrt(x) or in the wheel.
+    3. Large primes.  For nu >= 2 each of those primes adds a factor >= 2,
+       so for m > sqrt(x), d[m] == 1 exactly when m is a prime above sqrt(x)
+       outside the wheel: only the primes up to sqrt(x) are sieved.  Such a
+       p divides m <= x at most once, with cofactor j < sqrt(x), and step 2
+       left d[p j] = d_nu(j); so d[p j] = nu d[j], one constant scatter per
+       j.  For nu = 1 every factor is 1.
+
     Raises OverflowRangeError when max_{m<=x} d_nu(m) exceeds int64, else
     sieves in and returns _table_dtype(x, nu): every intermediate d[m] is
     d_nu of a divisor of m (the divide is exact), so it never exceeds the max.
@@ -198,26 +227,24 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
     if x > DEFAULT_ENTRY_BUDGET:
         raise BudgetExceededError(
             f"table of {x} entries exceeds budget {DEFAULT_ENTRY_BUDGET}")
-    d = np.ones(x + 1, dtype=_table_dtype(x, nu))
+    d = np.empty(x + 1, dtype=_table_dtype(x, nu))
     d[0] = 0
+    period = min(_PERIOD, x)
+    d[1:period + 1] = 1
+    for p, e in _WHEEL.items():
+        _raise_powers(d[:period + 1], p, 1, e, nu)
+    for start in range(period + 1, x + 1, period):
+        n = min(period, x + 1 - start)
+        d[start:start + n] = d[1:n + 1]
     root = math.isqrt(x)
-    primes = _primes_upto(x)
-    small = int(np.searchsorted(primes, root, side="right"))
-    for p in primes[:small].tolist():
-        pk, k = p, 1
-        while pk <= x:
-            old, new = math.comb(k + nu - 2, nu - 1), math.comb(k + nu - 1, nu - 1)
-            if old != 1:
-                d[pk::pk] //= old
-            if new != old:
-                d[pk::pk] *= new
-            pk, k = pk * p, k + 1
-    large = primes[small:]
-    if nu > 1:  # for nu = 1 every factor is 1
+    for p in _primes_upto(root).tolist():
+        _raise_powers(d, p, _WHEEL.get(p, 0) + 1, math.inf, nu)
+    if nu > 1:
+        large = root + 1 + np.flatnonzero(d[root + 1:] == 1)
         counts = np.searchsorted(large, x // np.arange(1, x // (root + 1) + 1),
                                  side="right")
         for j, count in enumerate(counts.tolist(), 1):
-            d[::j][large[:count]] *= nu
+            d[::j][large[:count]] = nu * int(d[j])
     return DivisorTable(nu, x, d)
 
 
@@ -285,7 +312,7 @@ def growth_fit(nu: int = 2, xs=None) -> dict:
     is not an integer (an integral float is accepted).
     """
     if xs is None:
-        xs = np.unique(np.geomspace(1e3, 1e7, 15).astype(int))
+        xs = sorted({int(v) for v in np.geomspace(1e3, 1e7, 15)})
     xs = [_as_int("x", x) for x in xs]
     distinct = len(set(xs))
     if distinct < 3:

@@ -1,8 +1,11 @@
 import argparse
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -87,6 +90,17 @@ def test_moment_at_huge_window(capsys):
     assert rec["auto"]["quadrature_price"] > rec["auto"]["spectral_price"]
     assert main(argv + ["--engine", "quadrature"]) == EXIT_NOT_CONVERGED
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("engine", ["quadrature", "both"])
+@pytest.mark.parametrize("T", ["1e11", "1e15"])
+def test_quadrature_refusal_past_the_double_range(T, engine, capsys):
+    # The capped Gauss bound is past e^709 here: it is refused in logs,
+    # exit 3, not an OverflowError.
+    assert main(["moment", "--inline", "a=1,0.5;phi=0,1", "--q", "1",
+                 "--T", T, "--engine", engine]) == EXIT_NOT_CONVERGED
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not converged" in captured.err
 
 
 def test_each_subcommand_has_exactly_its_options():
@@ -218,6 +232,23 @@ def test_zeta_divisor_sum_only(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["target"] == 4
     assert rec["slope"] > 0
+
+
+def test_zeta_passes_import_no_lazy_numpy_module():
+    # numpy.ma (first np.unique) and numpy.polynomial (leggauss) are
+    # imported on first use, which would cost milliseconds inside a pass.
+    script = (
+        "import sys\n"
+        "from expmoment.cli import main\n"
+        "main(['zeta', '--divisor-sum-only', '--nu', '2', '--x', '1e4'])\n"
+        "main(['zeta', '--nu', '2', '--sweep', '10:20:10', '--T', '1e2'])\n"
+        "print(sorted({'numpy.ma', 'numpy.polynomial'} & set(sys.modules)))\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_zeta_divisor_sum_single_point_is_invalid():

@@ -233,6 +233,12 @@ def test_gauss_rule_refuses_before_evaluating(monkeypatch):
         windowed_average(validate_instance([1.0, 0.5], [0.0, 1.0]), 1,
                          Window(2.0, 100.0))
     assert math.isnan(info.value.value) and info.value.error_estimate > 2.25e-9
+    # At T = 1e13 the bound is past the double range: it is refused in
+    # logs and carried as inf, by the Fejer entry too.
+    with pytest.raises(NotConvergedError) as info:
+        fejer_weighted_integral(validate_instance([1.0, 0.5], [0.0, 1.0]), 1,
+                                KernelParams(1e13, 0.0))
+    assert math.isnan(info.value.value) and info.value.error_estimate == math.inf
     assert calls == []
 
 
@@ -278,3 +284,16 @@ def test_gauss_nodes_cached_read_only():
     assert nodes.size == QuadratureConfig.gauss_order
     assert not (nodes.flags.writeable or weights.flags.writeable)
     assert math.fsum(weights) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_gauss_rule_matches_leggauss():
+    # The Jacobi-matrix rule: leggauss's nodes, its weights up to rounding,
+    # and exact on every even monomial up to degree 2n - 2.
+    n = QuadratureConfig.gauss_order
+    nodes, weights = gauss_legendre()
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.all(np.abs(weights - ref_weights) <= 64 * np.spacing(ref_weights))
+    for k in range(n):
+        assert math.fsum(weights * nodes ** (2 * k)) == pytest.approx(
+            2 / (2 * k + 1), rel=1e-14)

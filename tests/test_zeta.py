@@ -277,6 +277,48 @@ def test_divisor_table_working_dtypes():
     assert dtypes == {np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)}
 
 
+def _naive_divisor_tables(x, nus):
+    """d_nu(m) for m <= x, one int64 row per nu: every prime p <= x divides
+    the multiples of p^k by d_nu(p^{k-1}) and multiplies them by d_nu(p^k)."""
+    d = np.ones((len(nus), x + 1), dtype=np.int64)
+    d[:, 0] = 0
+    composite = np.zeros(x + 1, dtype=bool)
+    for p in range(2, math.isqrt(x) + 1):
+        if not composite[p]:
+            composite[p * p::p] = True
+    for p in (2 + np.flatnonzero(~composite[2:])).tolist():
+        pk, k = p, 1
+        while pk <= x:
+            d[:, pk::pk] //= np.array([[math.comb(k + nu - 2, nu - 1)] for nu in nus])
+            d[:, pk::pk] *= np.array([[math.comb(k + nu - 1, nu - 1)] for nu in nus])
+            pk, k = pk * p, k + 1
+    return d
+
+
+def test_divisor_table_across_the_wheel_period():
+    # Past 720,720 entries the wheel factors are copied forward a period at
+    # a time; at, around and past one period and two, every table equals
+    # the plain sieve in its values and in the narrowest dtype of its max.
+    period = 720720
+    xs = (period - 1, period, period + 1, 2 * period + 1)
+
+    def first_nu_past(dtype):
+        nu = 2
+        while _max_divisor_count(xs[0], nu) <= np.iinfo(dtype).max:
+            nu += 1
+        return nu
+
+    nus = (2, 3, first_nu_past(np.int16), first_nu_past(np.int32))
+    dtypes = set()
+    for nu, want in zip(nus, _naive_divisor_tables(max(xs), nus)):
+        for x in xs:
+            table = divisor_table(x, nu)
+            assert table.d.dtype == _narrowest(int(want[1:x + 1].max()))
+            assert np.array_equal(table.d, want[:x + 1])
+            dtypes.add(table.d.dtype)
+    assert dtypes == {np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)}
+
+
 def test_max_divisor_count_matches_scan():
     for x, nu in ((1, 3), (100, 2), (720, 3), (5000, 4)):
         assert _max_divisor_count(x, nu) == max(
