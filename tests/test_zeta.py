@@ -280,6 +280,9 @@ def test_divisor_table_working_dtypes():
 def _naive_divisor_tables(x, nus):
     """d_nu(m) for m <= x, one int64 row per nu: every prime p <= x divides
     the multiples of p^k by d_nu(p^{k-1}) and multiplies them by d_nu(p^k)."""
+    def d_nu_of_power(k):  # d_nu(p^k), one row per nu
+        return np.array([[math.comb(k + nu - 1, nu - 1)] for nu in nus])
+
     d = np.ones((len(nus), x + 1), dtype=np.int64)
     d[:, 0] = 0
     composite = np.zeros(x + 1, dtype=bool)
@@ -289,16 +292,17 @@ def _naive_divisor_tables(x, nus):
     for p in (2 + np.flatnonzero(~composite[2:])).tolist():
         pk, k = p, 1
         while pk <= x:
-            d[:, pk::pk] //= np.array([[math.comb(k + nu - 2, nu - 1)] for nu in nus])
-            d[:, pk::pk] *= np.array([[math.comb(k + nu - 1, nu - 1)] for nu in nus])
+            d[:, pk::pk] //= d_nu_of_power(k - 1)
+            d[:, pk::pk] *= d_nu_of_power(k)
             pk, k = pk * p, k + 1
     return d
 
 
 def test_divisor_table_across_the_wheel_period():
     # Past 720,720 entries the wheel factors are copied forward a period at
-    # a time; at, around and past one period and two, every table equals
-    # the plain sieve in its values and in the narrowest dtype of its max.
+    # a time.  At one period, one entry either side of it and past two
+    # periods, every table equals the plain sieve in its values and in the
+    # narrowest dtype holding its max.
     period = 720720
     xs = (period - 1, period, period + 1, 2 * period + 1)
 
