@@ -28,7 +28,6 @@ from .spectral import (
     expand,
     fejer_weighted_exact,
     integral_exact,
-    limit_moment,
     rational_mode_expand,
 )
 from .verify import (

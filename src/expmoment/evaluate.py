@@ -1,4 +1,4 @@
-"""S(t) = sum_n c_n e^{it phi_n} at one point, and S, |S|, |S|^{2q} on arrays."""
+"""S(t) = sum_n c_n e^{it phi_n} at one point, and S, |S|^{2q} on arrays."""
 from __future__ import annotations
 
 import math
@@ -87,7 +87,3 @@ def power_on_array(source, ts: np.ndarray | Grid, q: int) -> np.ndarray:
     s = sum_on_array(source, ts)
     return (s.real * s.real + s.imag * s.imag) ** q
 
-
-def abs_on_array(source, ts: np.ndarray | Grid) -> np.ndarray:
-    """|S(t)| on an array of points or on a Grid (for the grid sup)."""
-    return np.abs(sum_on_array(source, ts))

@@ -14,7 +14,6 @@ most 0.018 (max|f| + 4/T) take it by angle addition, s_k c_j - c_k s_j,
 from s = sin(theta f) and c = cos(theta f) computed once per mode, so they
 need no transcendental; closer pairs take sin(theta d) directly (_form
 states the bound).
-The long-window limit keeps the diagonal alone, sum_k |A_k|^2.
 """
 from __future__ import annotations
 
@@ -106,18 +105,21 @@ def _expand(source, q: int, exact: bool) -> SpectralExpansion:
     gamma_{q-1} q max|phi|, gamma_n = n u / (1 - n u), u = eps/2 (Higham,
     Accuracy and Stability of Numerical Algorithms, section 4.2): two orders
     of the same phis differ by less than q eps q max|phi|, so modes merge
-    within 4 q eps max(1, q max|phi|).
+    within 4 q eps max(1, q max|phi|).  metadata["fold_error"] records that
+    rounding bound, 0 for exact modes and at q = 1.
     """
     values = coefficient_values(source)
     phis = np.asarray(source.frequencies, dtype=np.float64)
-    merge_tol = 0.0 if exact else (
-        4 * q * np.finfo(np.float64).eps * max(1.0, q * float(np.abs(phis).max())))
+    eps, phi_max = np.finfo(np.float64).eps, float(np.abs(phis).max())
+    merge_tol = 0.0 if exact else 4 * q * eps * max(1.0, q * phi_max)
+    nu = 0.0 if exact else (q - 1) * eps / 2
     freqs, amps, width = _modes(values, q, phis, merge_tol)
     s0 = abs(complex(np.sum(values))) ** (2 * q)
     parseval = abs(abs(complex(np.sum(amps))) ** 2 - s0) / max(s0, 1e-300)
     return SpectralExpansion(
         freqs, amps,
-        {"merge_width": width, "raw_pairs": freqs.size * freqs.size,
+        {"merge_width": width, "fold_error": nu / (1 - nu) * q * phi_max,
+         "raw_pairs": freqs.size * freqs.size,
          "parseval_rel_err": parseval, "exact_omegas": exact})
 
 
@@ -179,14 +181,17 @@ def _form(expansion: SpectralExpansion, theta: float, power: int,
     d >= cut = 4 power eps (max|f| + 2/theta)/1e-13.  A pair with
     0 < d < cut takes sin(theta d) directly.
 
-    Merging moved each mode by at most merge_width, so each pair's phase on
-    the |t| <= reach that the kernel weighs by at most 2 merge_width reach;
-    merge_width reach > ENGINE_AGREEMENT_RTOL raises BadGapError.
+    Merging and the rounding of the folds moved each mode by at most
+    merge_width + fold_error, so each pair's phase on the |t| <= reach that
+    the kernel weighs by at most twice that times reach;
+    (merge_width + fold_error) reach > ENGINE_AGREEMENT_RTOL raises BadGapError.
     """
-    width = expansion.metadata.get("merge_width", 0.0)
-    if width * reach > ENGINE_AGREEMENT_RTOL:
+    meta = expansion.metadata
+    drift = meta.get("merge_width", 0.0) + meta.get("fold_error", 0.0)
+    if drift * reach > ENGINE_AGREEMENT_RTOL:
         raise BadGapError(
-            f"{what}: merging modes {width!r} apart moves phases at |t| <= {reach!r}")
+            f"{what}: modes off by up to {float(drift)!r} (merging and fold "
+            f"rounding) move phases at |t| <= {reach!r}")
     f = expansion.freqs
     b = expansion.amps * np.exp(1j * shift * f)
     B = np.stack((b.real, b.imag), axis=1)
@@ -221,15 +226,6 @@ def integral_exact(expansion: SpectralExpansion, window: Window) -> float:
     T = window.half_width
     return _form(expansion, T, 1, window.center, abs(window.center) + T,
                  "integral_exact")
-
-
-def limit_moment(expansion: SpectralExpansion) -> float:
-    """The T -> infinity windowed average: sum_k |A_k|^2 over the merged modes.
-
-    For linearly independent frequencies this is the diagonal sum
-    sum_k (q!/prod k_n!)^2 prod a_n^{2 k_n}.
-    """
-    return float(np.vdot(expansion.amps, expansion.amps).real)
 
 
 def fejer_weighted_exact(expansion: SpectralExpansion,

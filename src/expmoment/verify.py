@@ -21,12 +21,13 @@ from .core import (
     DegenerateCosineError,
     ExpMomentError,
     Instance,
+    NegativeAmplitudeError,
     NonFiniteError,
     OverflowRangeError,
     Window,
     validate_order,
 )
-from .evaluate import Grid, _check_overflow, abs_on_array
+from .evaluate import _check_overflow
 from .fejer import KernelParams
 from .quadrature import (
     QuadratureConfig,
@@ -209,18 +210,17 @@ def check_eq45(coeffs: ComplexCoefficients, q: int, half_width: float,
                       T=half_width, H=shift)
 
 
-def _grid_sup(instance: Instance, lo: float, hi: float, points: int) -> float:
-    """max |S| over np.linspace(lo, hi, points): a Grid of whole rows, then a tail."""
+def _sup_abs(instance: Instance) -> float:
+    """sup |S| over any window that contains 0: S(0) = sum a_n, exactly.
+
+    For a_n >= 0, |S(t)| <= sum |a_n| = sum a_n = S(0).  An Instance built
+    directly is not validated, so a negative a_n is refused here.
+    """
+    if any(a < 0 for a in instance.amplitudes):
+        raise NegativeAmplitudeError(
+            f"sup |S| = S(0) needs a_n >= 0, got {instance.amplitudes!r}")
     _check_overflow(instance, 1)
-    step = (hi - lo) / (points - 1)
-    width = math.isqrt(points)
-    rows = points // width
-    grid = Grid(lo + step * width * np.arange(rows), step * np.arange(width))
-    best = float(abs_on_array(instance, grid).max())
-    tail = np.linspace(lo, hi, points)[rows * width:]
-    if tail.size:
-        best = max(best, float(abs_on_array(instance, tail).max()))
-    return best
+    return instance.amplitude_sum()
 
 
 def _l1_sides(instance: Instance, T: float) -> tuple[float, float]:
@@ -247,22 +247,14 @@ def _l1_sides(instance: Instance, T: float) -> tuple[float, float]:
     return scale * float(np.abs(v).max()), scale * math.sqrt(float(a @ v))
 
 
-def _sup_grid_points(instance: Instance, length: float) -> int:
-    span = max(instance.frequencies) - min(instance.frequencies)
-    # ~50 samples per oscillation, clamped (in float, so an infinite
-    # length is capped too) to keep desk-scale runtimes.
-    want = 50 * span * length / (2 * math.pi)
-    return int(min(max(want, 20_000), 400_000)) + 1
-
-
 def check_sup_chain(instance: Instance, half_widths) -> VerificationReport:
     """max a_n <= limsup (1/2T) integral |S| dt <= sup |S|.
 
     The L1 average is held between the two sides of _l1_sides at every T
-    supplied, and the chain lower <= upper <= grid sup is checked there; the
-    grid sup is a max of sampled values and so at most sup |S|.  lower tends
-    to max a_n, so max a_n - lower at the largest T, an upper bound on the
-    finite-T deviation, is reported.
+    supplied, and the chain lower <= upper <= sup |S| is checked there.  For
+    a_n >= 0 the sup of |S| over [-T, T] is S(0) = sum a_n, exactly.  lower
+    tends to max a_n, so max a_n - lower at the largest T, an upper bound on
+    the finite-T deviation, is reported.
     """
     half_widths = sorted(float(t) for t in half_widths)
     if not half_widths:
@@ -275,13 +267,11 @@ def check_sup_chain(instance: Instance, half_widths) -> VerificationReport:
         raise BadGapError("sup-chain check needs distinct frequencies")
     sup_a = max(instance.amplitudes)
     lower, upper = map(list, zip(*(_l1_sides(instance, T) for T in half_widths)))
-    largest = half_widths[-1]
-    sup_s = _grid_sup(instance, -largest, largest,
-                      _sup_grid_points(instance, 2 * largest))
+    sup_s = _sup_abs(instance)
     chain = all(inequality_holds(lo, up) and inequality_holds(up, sup_s)
                 for lo, up in zip(lower, upper))
     meta = {"engine": "closed_form", "half_widths": half_widths,
-            "lower_bounds": lower, "upper_bounds": upper, "grid_sup": sup_s,
+            "lower_bounds": lower, "upper_bounds": upper, "sup": sup_s,
             "finite_T_deviation": sup_a - lower[-1]}
     return _report("sup_chain", _summary(instance), sup_a, sup_s, meta,
                    holds=chain)
@@ -317,9 +307,10 @@ def check_ingham_mordell(instance: Instance, gap: float) -> VerificationReport:
 def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
     """Product-of-cosines coefficient bound for 0 < phi_1 < ... < phi_N.
 
-    The source display starts the first product at j = 0 where phi_0 is
-    undefined; this implementation reads it as j = 1..n-1 and records that
-    reading in the report.
+    a_n <= sup_{|t| <= t_max} |S(t)| / prod cos(...).  For a_n >= 0 that sup
+    is S(0) = sum a_n, exactly.  The source display starts the first product
+    at j = 0 where phi_0 is undefined; this implementation reads it as
+    j = 1..n-1 and records that reading in the report.
     """
     n = index
     phis = instance.frequencies
@@ -343,15 +334,14 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
     if not math.isfinite(t_max):
         raise OverflowRangeError(
             f"t_max = {t_max!r} is out of range; rescale the frequencies")
-    sup_s = _grid_sup(instance, -t_max, t_max,
-                      _sup_grid_points(instance, 2 * t_max))
+    sup_s = _sup_abs(instance)
     if sup_s > product * 1e300:
         raise OverflowRangeError(
             f"sup|S| / cosine product = {sup_s!r} / {product!r} exceeds 1e300; "
             "rescale the amplitudes")
     lhs = instance.amplitudes[n - 1]
     rhs = sup_s / product
-    meta = {"engine": "grid", "index": n, "cos_product": product,
+    meta = {"engine": "closed_form", "index": n, "cos_product": product,
             "t_max": t_max,
             "product_index_reading": "first product taken over j=1..n-1"}
     return _report("bohr", _summary(instance), lhs, rhs, meta)

@@ -25,7 +25,6 @@ SURFACE = [
     ("verify", "VerificationReport", ()),
     ("zeta", "corollary_lower_bound", ()),
     ("evaluate", "power_on_array", ("source", "ts")),
-    ("evaluate", "abs_on_array", ("source", "ts")),
     ("quadrature", "windowed_average", ("source", "q", "window", "config")),
     ("quadrature", "fejer_weighted_integral", ("source", "q", "params", "config")),
     ("quadrature", "bandlimit", ("source", "q")),
@@ -33,7 +32,6 @@ SURFACE = [
     ("spectral", "rational_mode_expand", ("source", "q")),
     ("spectral", "integral_exact", ()),
     ("spectral", "fejer_weighted_exact", ()),
-    ("spectral", "limit_moment", ()),
     ("rademacher", "exact_even_moment", ("values", "q")),
     ("rademacher", "exhaustive_moment", ("values", "q")),
     ("zeta", "divisor_table", ()),

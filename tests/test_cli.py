@@ -388,17 +388,26 @@ def test_moment_wide_float_merge_is_invalid(capsys):
     assert "integral_exact" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("T", ["1e12", "1e15"])
+def test_moment_fold_rounding_is_invalid(capsys, T):
+    # The q = 2 modes of these float phases are off by rounding; over
+    # |t| <= T that moves their phases past the engines' agreement.
+    assert main(["moment", "--inline", "a=1,1,1,1;phi=0.1,0.2,0,0.30000000000000204",
+                 "--q", "2", "--T", T]) == EXIT_INVALID
+    assert "fold rounding" in capsys.readouterr().err
+
+
 def test_budget_exit_code(capsys):
     assert main(["zeta", "--nu", "3", "--N", "1000"]) == EXIT_BUDGET
 
 
 def test_sup_chain_at_huge_window_passes(capsys):
-    # The L1 sides are closed forms, so T = 1e7 costs only the grid sup.
+    # The L1 sides and sup |S| = S(0) are closed forms at any T.
     assert main(["verify", "sup-chain", "--inline", "a=1,0.5;phi=0,1",
                  "--T", "1e7"]) == EXIT_OK
     rec = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
-    assert rec["passed"] and rec["grid_sup"] == pytest.approx(1.5, rel=1e-9)
-    assert rec["lower_bounds"][0] <= rec["upper_bounds"][0] <= rec["grid_sup"]
+    assert rec["passed"] and rec["sup"] == 1.5
+    assert rec["lower_bounds"][0] <= rec["upper_bounds"][0] <= rec["sup"]
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from expmoment.core import OverflowRangeError, dominated_coefficients, validate_instance
-from expmoment import verify
 from expmoment.evaluate import (
     Grid,
     _check_overflow,
@@ -119,29 +118,6 @@ def test_sum_on_grid_matches_pointwise(inst, phases, rows, cols):
                     1.0, max(abs(t * p) for p in inst.frequencies)) \
                     + 4 * inst.size * math.ulp(0.0)
                 assert abs(vals[i, j] - eval_sum(source, t)) <= bound
-
-
-@pytest.mark.parametrize("lo, hi, points", [(-10.0, 10.0, 1003),
-                                             (-100.0, 100.0, 20001),
-                                             (-3.0, 7.0, 10000)])
-def test_grid_sup_points_and_value(monkeypatch, lo, hi, points):
-    inst = validate_instance([1.0, 0.7, 0.2], [-1.5, 0.3, 1.9])
-    seen = []
-    real = verify.abs_on_array
-
-    def recording(source, ts):
-        seen.append(ts.points().ravel() if isinstance(ts, Grid) else ts)
-        return real(source, ts)
-
-    monkeypatch.setattr(verify, "abs_on_array", recording)
-    sup = verify._grid_sup(inst, lo, hi, points)
-    pts = np.sort(np.concatenate(seen))
-    expected = np.linspace(lo, hi, points)
-    assert pts.size == points
-    assert pts[0] == lo
-    assert pts[-1] == pytest.approx(hi, rel=1e-15)
-    np.testing.assert_allclose(pts, expected, rtol=0, atol=1e-12 * (hi - lo))
-    assert sup == pytest.approx(float(real(inst, expected).max()), rel=1e-12)
 
 
 def test_overflow_guard_in_log_domain():

@@ -22,12 +22,11 @@ from expmoment.spectral import (
     expand,
     fejer_weighted_exact,
     integral_exact,
-    limit_moment,
     rational_mode_expand,
 )
 from expmoment.verify import random_dominated, random_instance
 from expmoment.zeta import zeta_instance
-from tuple_sum_oracle import closed_form_cases
+from tuple_sum_oracle import closed_form_cases, tuple_sum
 
 
 def _two_sided(exp):
@@ -124,6 +123,11 @@ def test_integral_exact_two_tone():
     assert raw == pytest.approx(4 * math.pi, rel=1e-12)
 
 
+def _limit_moment(exp):
+    """The T -> infinity windowed average: sum_k |A_k|^2 over the merged modes."""
+    return float(np.vdot(exp.amps, exp.amps).real)
+
+
 def test_integral_exact_single_term():
     exp = expand(validate_instance([1.0], [2.0]), 4)
     for T in (0.5, 3.0):
@@ -132,11 +136,11 @@ def test_integral_exact_single_term():
 
 def test_limit_moment_examples():
     inst = validate_instance([1.0, 1.0], [0.0, 1.0])
-    assert limit_moment(expand(inst, 1)) == pytest.approx(2.0)
+    assert _limit_moment(expand(inst, 1)) == pytest.approx(2.0)
     ind = validate_instance([1.0, 1.0], [0.0, math.sqrt(2)])
-    assert limit_moment(expand(ind, 2)) == pytest.approx(6.0)
+    assert _limit_moment(expand(ind, 2)) == pytest.approx(6.0)
     res = validate_instance([1.0, 1.0], [3.0, 3.0])
-    assert limit_moment(expand(res, 1)) == pytest.approx(4.0)
+    assert _limit_moment(expand(res, 1)) == pytest.approx(4.0)
 
 
 def test_limit_moment_lower_bound_and_homogeneity():
@@ -145,12 +149,12 @@ def test_limit_moment_lower_bound_and_homogeneity():
         inst = random_instance(rng, max_n=5)
         q = int(rng.integers(1, 4))
         exp = expand(inst, q)
-        lm = limit_moment(exp)
+        lm = _limit_moment(exp)
         assert lm >= inst.energy() ** q * (1 - 1e-9) - 1e-12
         lam = float(rng.uniform(0.1, 3.0))
         scaled = validate_instance([lam * a for a in inst.amplitudes],
                                    inst.frequencies)
-        assert limit_moment(expand(scaled, q)) == pytest.approx(
+        assert _limit_moment(expand(scaled, q)) == pytest.approx(
             lam ** (2 * q) * lm, rel=1e-9, abs=1e-12)
 
 
@@ -165,7 +169,7 @@ def test_resonance_gap():
 def test_three_tone_limit_and_resonance_gap():
     # Pair frequencies 0 (x3), +-0.5, +-1, +-1.5: only the diagonal survives.
     exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1.0, 1.5]), 1)
-    assert limit_moment(exp) == pytest.approx(3.0, rel=1e-14)
+    assert _limit_moment(exp) == pytest.approx(3.0, rel=1e-14)
     assert np.diff(exp.freqs).min() == pytest.approx(0.5, rel=1e-14)
 
 
@@ -264,7 +268,7 @@ def test_angle_addition_matches_full_square(monkeypatch, rows):
             monkeypatch.setattr(spectral, "_ROW_CHUNK", rows * n)
         values = (integral_exact(exp, Window(shift, T)),
                   fejer_weighted_exact(exp, KernelParams(T, shift)))
-        norm = limit_moment(exp)
+        norm = _limit_moment(exp)
         for value, direct, k0 in zip(values, _square_forms(exp, T, shift), (2 * T, T)):
             assert abs(value - direct) <= 1e-13 * k0 * norm, (n, T)
 
@@ -327,7 +331,7 @@ def test_rational_mode_examples():
     assert set(_two_sided(exp)[0].tolist()) <= set(float(k) for k in range(-4, 5))
     two = rational_mode_expand(validate_instance([1.0, 1.0], [0.0, 3.0]), 1)
     assert _two_sided(two)[0].tolist() == [-3.0, 0.0, 3.0]
-    assert limit_moment(two) == pytest.approx(_coeff_at(two, 0.0).real)
+    assert _limit_moment(two) == pytest.approx(_coeff_at(two, 0.0).real)
 
 
 def test_rational_mode_rejects_non_integers():
@@ -365,7 +369,7 @@ def test_expand_goes_exact_on_integer_frequencies():
     exp = expand(validate_instance([1.0, 1.0, 1.0], [0.0, 1.0, 2e9]), 1)
     assert exp.freqs.tolist() == [0.0, 1.0, 2e9]
     assert exp.metadata["exact_omegas"] and exp.metadata["merge_width"] == 0.0
-    assert limit_moment(exp) == 3.0
+    assert _limit_moment(exp) == 3.0
     assert integral_exact(exp, Window(0.0, 10.0)) / 20.0 == pytest.approx(
         3.0 + 2.0 * math.sin(10.0) / 10.0, rel=1e-9)
 
@@ -378,7 +382,7 @@ def test_rounding_tolerance_keeps_distinct_modes():
     assert not exp.metadata["exact_omegas"]
     assert exp.metadata["merge_width"] == 0.0
     assert exp.freqs.tolist() == [0.0, 1.5, 2e9 + 0.5]
-    assert limit_moment(exp) == 3.0
+    assert _limit_moment(exp) == 3.0
     assert np.diff(exp.freqs).min() == 1.5
     T = 10.0
     sinc_sum = sum(math.sin(T * w) / (T * w) for w in (1.5, 2e9 + 0.5, 2e9 - 1.0))
@@ -397,6 +401,35 @@ def test_wide_float_merge_is_refused():
         integral_exact(exp, Window(0.0, 10.0))
     with pytest.raises(BadGapError):
         fejer_weighted_exact(exp, KernelParams(10.0, 0.0))
+
+
+# 0.1 + 0.2 and 0.30000000000000204 are 2 ulps apart: too far to merge, so
+# only the rounding of the folds, not merging, moves the q = 2 modes.
+_FOLD_ROUNDING = validate_instance([1.0] * 4, [0.1, 0.2, 0.0, 0.30000000000000204])
+
+
+def test_fold_rounding_gate_keeps_moderate_windows():
+    # fold_error = gamma_1 q max|phi|, and 0 at q = 1 and for integer modes.
+    exp = expand(_FOLD_ROUNDING, 2)
+    assert exp.metadata["merge_width"] == 0.0
+    u = np.finfo(np.float64).eps / 2
+    assert exp.metadata["fold_error"] == u / (1 - u) * 2 * 0.30000000000000204
+    assert expand(_FOLD_ROUNDING, 1).metadata["fold_error"] == 0.0
+    integer = validate_instance([1.0, 1.0], [0.0, 3.0])
+    assert expand(integer, 3).metadata["fold_error"] == 0.0
+    T = 1e9
+    oracle = float(tuple_sum(_FOLD_ROUNDING, 2, T, 0.0, False))
+    assert integral_exact(exp, Window(0.0, T)) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("T", [1e12, 1e15])
+def test_fold_rounding_gate_refuses_long_windows(T):
+    # The float modes' sum errs by 5e-9 relative at T = 1e12 and 4e-3 at 1e15.
+    exp = expand(_FOLD_ROUNDING, 2)
+    with pytest.raises(BadGapError):
+        integral_exact(exp, Window(0.0, T))
+    with pytest.raises(BadGapError):
+        fejer_weighted_exact(exp, KernelParams(T, 0.0))
 
 
 def test_merge_width_accepts_rounding_clusters():

@@ -11,6 +11,8 @@ from expmoment.core import (
     BudgetExceededError,
     DegenerateCosineError,
     ExpMomentError,
+    Instance,
+    NegativeAmplitudeError,
     NonFiniteError,
     OverflowRangeError,
     TermBudgetExceededError,
@@ -174,8 +176,8 @@ def test_sup_chain_single_term_equality():
 
 
 def test_sup_chain_left_side_can_fail(monkeypatch):
-    # Swapping the two sides keeps the upper one below the grid sup, so only
-    # the left link (lower <= upper) can fail.
+    # Swapping the two sides keeps the upper one below sup |S|, so only the
+    # left link (lower <= upper) can fail.
     real = verify._l1_sides
     monkeypatch.setattr(verify, "_l1_sides", lambda *args: real(*args)[::-1])
     rep = check_sup_chain(validate_instance([1.0, 0.5], [0.0, 1.0]), [100.0])
@@ -184,9 +186,9 @@ def test_sup_chain_left_side_can_fail(monkeypatch):
 
 
 def test_sup_chain_right_side_can_fail(monkeypatch):
-    # upper = sqrt(1.25 + sin(10) / 10) = 1.0926 tops a grid sup of 1.05,
-    # while lower <= upper and the printed max a_n = 1 <= 1.05 both hold.
-    monkeypatch.setattr(verify, "_grid_sup", lambda *args: 1.05)
+    # upper = sqrt(1.25 + sin(10) / 10) = 1.0926 tops a sup of 1.05 (the true
+    # one is 1.5), while lower <= upper and max a_n = 1 <= 1.05 both hold.
+    monkeypatch.setattr(verify, "_sup_abs", lambda *args: 1.05)
     rep = check_sup_chain(validate_instance([1.0, 0.5], [0.0, 1.0]), [10.0])
     assert rep.method["upper_bounds"] == [
         pytest.approx(math.sqrt(1.25 + math.sin(10.0) / 10.0), rel=1e-12)]
@@ -196,10 +198,10 @@ def test_sup_chain_right_side_can_fail(monkeypatch):
 
 
 def test_sup_chain_fails_when_its_headline_fails(monkeypatch):
-    # Every per-T condition holds (lower 0.9 <= upper 0.92 <= grid sup
-    # 0.95), but the printed max a_n = 1 <= 0.95 does not.
+    # Every per-T condition holds (lower 0.9 <= upper 0.92 <= sup 0.95),
+    # but the printed max a_n = 1 <= 0.95 does not.
     monkeypatch.setattr(verify, "_l1_sides", lambda *args: (0.9, 0.92))
-    monkeypatch.setattr(verify, "_grid_sup", lambda *args: 0.95)
+    monkeypatch.setattr(verify, "_sup_abs", lambda *args: 0.95)
     rep = check_sup_chain(validate_instance([1.0, 0.2], [0.0, 3.0]), [10.0])
     assert rep.method["lower_bounds"] == [0.9]
     assert (rep.lhs, rep.rhs) == (1.0, 0.95)
@@ -218,6 +220,28 @@ def test_sup_chain_two_tone_middle_value():
     assert upper == pytest.approx(math.sqrt(2 + 2 * s), rel=1e-12)
     assert lower <= 4 / math.pi <= upper
     assert rep.method["finite_T_deviation"] == pytest.approx(-s, rel=1e-9)
+
+
+@pytest.mark.parametrize("check", ["sup-chain", "bohr"])
+def test_campaign_sup_is_the_amplitude_sum(check):
+    # For a_n >= 0, sup |S| over a window around 0 is S(0) = sum a_n, exactly;
+    # Bohr's rhs is that sup over the cosine product.
+    for src, rep in verify.campaign(check, 25, 42):
+        sup = math.fsum(src.amplitudes)
+        if check == "bohr":
+            assert rep.rhs == sup / rep.method["cos_product"]
+        else:
+            assert rep.method["sup"] == rep.rhs == sup
+        assert rep.passed
+
+
+def test_sup_checks_refuse_negative_amplitudes():
+    # Instance(...) is not validated, and for a_n < 0 S(0) is not sup |S|.
+    inst = Instance((1.0, -0.5), (1.0, 2.0))
+    with pytest.raises(NegativeAmplitudeError):
+        check_sup_chain(inst, [10.0])
+    with pytest.raises(NegativeAmplitudeError):
+        check_bohr_bound(inst, 1)
 
 
 def test_sup_chain_rejects_repeated_frequencies():
