@@ -51,9 +51,9 @@ class NotConvergedError(ExpMomentError):
     """Quadrature hit the panel cap; carries the best value and its error,
     or nan when it refused before evaluating."""
 
-    def __init__(self, value: float, error_estimate: float, message: str = ""):
-        super().__init__(message or f"not converged: value={value!r} "
-                                    f"error_estimate={error_estimate!r}")
+    def __init__(self, value: float, error_estimate: float):
+        super().__init__(f"not converged: value={value!r} "
+                         f"error_estimate={error_estimate!r}")
         self.value = value
         self.error_estimate = error_estimate
 

@@ -32,6 +32,7 @@ from .core import (
     coefficient_values,
     validate_order,
 )
+from .evaluate import _check_overflow, _check_phase_range
 from .fejer import KernelParams
 
 DEFAULT_TERM_BUDGET = 10 ** 8
@@ -54,6 +55,9 @@ class SpectralExpansion:
     freqs: np.ndarray
     amps: np.ndarray
     metadata: dict = field(default_factory=dict, compare=False)
+
+    def amplitude_sum(self) -> float:
+        return float(np.abs(self.amps).sum())
 
 
 def _merge(omegas: np.ndarray, coeffs: np.ndarray,
@@ -108,6 +112,7 @@ def _expand(source, q: int, exact: bool) -> SpectralExpansion:
     within 4 q eps max(1, q max|phi|).  metadata["fold_error"] records that
     rounding bound, 0 for exact modes and at q = 1.
     """
+    _check_overflow(source, 2 * q)
     values = coefficient_values(source)
     phis = np.asarray(source.frequencies, dtype=np.float64)
     eps, phi_max = np.finfo(np.float64).eps, float(np.abs(phis).max())
@@ -185,18 +190,22 @@ def _form(expansion: SpectralExpansion, theta: float, power: int,
     merge_width + fold_error, so each pair's phase on the |t| <= reach that
     the kernel weighs by at most twice that times reach;
     (merge_width + fold_error) reach > ENGINE_AGREEMENT_RTOL raises BadGapError.
+    As |form| <= k0 (sum |A_k|)^2, that past 1e300 is refused, as are phases
+    past the double range.
     """
+    f = expansion.freqs
+    k0 = 2.0 * theta
+    _check_overflow(expansion, 2, k0)
+    _check_phase_range((f[0], f[-1]), 1, reach)
     meta = expansion.metadata
     drift = meta.get("merge_width", 0.0) + meta.get("fold_error", 0.0)
     if drift * reach > ENGINE_AGREEMENT_RTOL:
         raise BadGapError(
             f"{what}: modes off by up to {float(drift)!r} (merging and fold "
             f"rounding) move phases at |t| <= {reach!r}")
-    f = expansion.freqs
     b = expansion.amps * np.exp(1j * shift * f)
     B = np.stack((b.real, b.imag), axis=1)
     n = f.size
-    k0 = 2.0 * theta
 
     def kernel(x, d):  # K(d) from x = sin(theta d)
         k = 2.0 * x / d

@@ -27,7 +27,7 @@ from .core import (
     Window,
     validate_order,
 )
-from .evaluate import _check_overflow
+from .evaluate import _check_overflow, _check_phase_range
 from .fejer import KernelParams
 from .quadrature import (
     QuadratureConfig,
@@ -38,8 +38,8 @@ from .quadrature import (
 )
 from . import spectral
 
-# Numerical slack of the pass verdict: lhs <= rhs*(1+REL) + ABS.
-PASS_REL_SLACK = 1e-9
+# Slack of the pass verdict lhs <= rhs*(1+REL) + ABS; REL is the Gauss rule's tolerance.
+PASS_REL_SLACK = QuadratureConfig.rel_tol
 PASS_ABS_SLACK = 1e-12
 
 # "auto" prices a spectral mode pair at _PAIR_COST Gauss term-points, fitted
@@ -117,11 +117,13 @@ def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
     """Unnormalized integral of |S|^{2q} against a window or a Fejer kernel.
 
     The one place that resolves engine names; meta["auto"] says why auto chose.
-    Amplitudes out of range are refused before any engine is chosen.
+    Amplitudes and phases out of range are refused before any engine is chosen.
     """
     q = validate_order(q)
     fejer = isinstance(kernel, KernelParams)
     _check_overflow(source, 2 * q, kernel.T if fejer else 2 * kernel.half_width)
+    _check_phase_range(source.frequencies, q, abs(kernel.H) + kernel.T if fejer
+                       else abs(kernel.center) + kernel.half_width)
     meta: dict = {}
     if engine == "auto":
         engine, meta["auto"] = _auto_engine(source, q, kernel)
@@ -231,15 +233,10 @@ def _l1_sides(instance: Instance, T: float) -> tuple[float, float]:
     |v_n| <= the L1 average, so lower = max |v_n|.  By Cauchy-Schwarz the L1
     average is at most the root of the q = 1 window moment
     (1/2T) integral |S|^2 = a . K a, so upper = sqrt(a . v).  Both are taken
-    on a / max a, so that sum a_n^2 may overflow.  Raises
-    OverflowRangeError when 2 max(T, 1) max|phi_n| leaves the double range:
-    it bounds every phase t phi_n with |t| <= T, every difference d and
-    every sinc argument T d.
+    on a / max a, so that sum a_n^2 may overflow.  Phases past the double
+    range are refused by _check_phase_range at q = 1, reach T.
     """
-    if not math.isfinite(2 * max(T, 1.0) * max(map(abs, instance.frequencies))):
-        raise OverflowRangeError(
-            f"2 max(T, 1) max|phi| is out of range at T = {T!r}; "
-            "rescale the frequencies")
+    _check_phase_range(instance.frequencies, 1, T)
     phis = np.asarray(instance.frequencies)
     scale = max(instance.amplitudes) or 1.0
     a = np.asarray(instance.amplitudes) / scale
@@ -325,9 +322,10 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
                 for j in range(n + 1, big_n + 1)]
     product = 1.0
     for f in factors:
-        if f <= 1e-12:
-            raise DegenerateCosineError(f"cosine factor {f!r} too small")
         product *= f
+        if f <= 1e-12 or product == 0.0:
+            raise DegenerateCosineError(f"cosine factor {f!r} too small, or the "
+                                        f"product {product!r} underflows")
     t_max = (math.pi / 2) * (n / phis[n - 1]
                              + math.fsum(1.0 / phis[j - 1]
                                          for j in range(n + 1, big_n + 1)))
@@ -335,10 +333,7 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
         raise OverflowRangeError(
             f"t_max = {t_max!r} is out of range; rescale the frequencies")
     sup_s = _sup_abs(instance)
-    if sup_s > product * 1e300:
-        raise OverflowRangeError(
-            f"sup|S| / cosine product = {sup_s!r} / {product!r} exceeds 1e300; "
-            "rescale the amplitudes")
+    _check_overflow(instance, 1, 1 / product)  # rhs = sup|S| / product
     lhs = instance.amplitudes[n - 1]
     rhs = sup_s / product
     meta = {"engine": "closed_form", "index": n, "cos_product": product,

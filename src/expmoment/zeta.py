@@ -211,10 +211,11 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
        of m with every prime <= sqrt(x) or in the wheel.
     3. Large primes.  For nu >= 2 each of those primes adds a factor >= 2,
        so for m > sqrt(x), d[m] == 1 exactly when m is a prime above sqrt(x)
-       outside the wheel: only the primes up to sqrt(x) are sieved.  Such a
-       p divides m <= x at most once, with cofactor j < sqrt(x), and step 2
-       left d[p j] = d_nu(j); so d[p j] = nu d[j], one constant scatter per
-       j.  For nu = 1 every factor is 1.
+       outside the wheel, so odd: only the primes up to sqrt(x) are sieved,
+       and only the odd entries are read.  Such a p divides m <= x at most
+       once, with cofactor j < sqrt(x), and step 2 left d[p j] = d_nu(j); so
+       d[p j] = nu d[j], one constant scatter per j.  For nu = 1 every factor
+       is 1.
 
     Raises OverflowRangeError when max_{m<=x} d_nu(m) exceeds int64, else
     sieves in and returns _table_dtype(x, nu): every intermediate d[m] is
@@ -240,7 +241,8 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
     for p in _primes_upto(root).tolist():
         _raise_powers(d, p, _WHEEL.get(p, 0) + 1, math.inf, nu)
     if nu > 1:
-        large = root + 1 + np.flatnonzero(d[root + 1:] == 1)
+        odd = (root + 1) | 1
+        large = odd + 2 * np.flatnonzero(d[odd::2] == 1)
         counts = np.searchsorted(large, x // np.arange(1, x // (root + 1) + 1),
                                  side="right")
         for j, count in enumerate(counts.tolist(), 1):
@@ -267,21 +269,10 @@ def _weighted_square_sums(arr: np.ndarray, uptos) -> list[float]:
             for upto in uptos]
 
 
-def _weighted_square_sum(arr: np.ndarray, upto: int) -> float:
-    if upto < 0:
-        raise ValueError(f"square sum needs an upper limit >= 0, got {upto}")
-    return _weighted_square_sums(arr, [upto])[0]
-
-
-def divisor_sum(x: int, nu: int, table: DivisorTable | None = None) -> float:
+def divisor_sum(x: int, nu: int) -> float:
     """sum_{m<=x} d_nu(m)^2 / m, which grows like C_nu log^{nu^2} x."""
-    if table is None:
-        table = divisor_table(x, nu)
-    if table.nu != nu:
-        raise ValueError(f"divisor table is for nu = {table.nu}, not {nu}")
-    if table.x < x:
-        raise BudgetExceededError("divisor table does not cover the request")
-    return _weighted_square_sum(table.d, x)
+    table = divisor_table(x, nu)
+    return _weighted_square_sums(table.d, [table.x])[0]
 
 
 def coefficient_square_sum(table: CoefficientTable,
@@ -289,9 +280,11 @@ def coefficient_square_sum(table: CoefficientTable,
     """sum_{m<=upto} b_m^2 / m over the coefficient table."""
     if upto is None:
         upto = table.limit
+    if upto < 0:
+        raise ValueError(f"square sum needs an upper limit >= 0, got {upto}")
     if upto > table.limit:
         raise BudgetExceededError("coefficient table does not cover the request")
-    return _weighted_square_sum(table.b, upto)
+    return _weighted_square_sums(table.b, [upto])[0]
 
 
 def growth_fit(nu: int = 2, xs=None) -> dict:

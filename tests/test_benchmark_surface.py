@@ -25,8 +25,8 @@ SURFACE = [
     ("verify", "VerificationReport", ()),
     ("zeta", "corollary_lower_bound", ()),
     ("evaluate", "power_on_array", ("source", "ts")),
-    ("quadrature", "windowed_average", ("source", "q", "window", "config")),
-    ("quadrature", "fejer_weighted_integral", ("source", "q", "params", "config")),
+    ("quadrature", "windowed_average", ("source", "q", "window")),
+    ("quadrature", "fejer_weighted_integral", ("source", "q", "params")),
     ("quadrature", "bandlimit", ("source", "q")),
     ("spectral", "expand", ("source", "q")),
     ("spectral", "rational_mode_expand", ("source", "q")),

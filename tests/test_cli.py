@@ -338,6 +338,36 @@ def test_out_of_range_amplitudes_are_invalid(argv, capsys):
     assert "exceeds 1e300; rescale the amplitudes" in err
 
 
+_BIG_PHI = "a=1,1;phi=0,1e300"
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--inline", _BIG_PHI, "--T", "1e10"],
+    ["moment", "--inline", _BIG_PHI, "--T", "1e10", "--engine", "quadrature"],
+    ["moment", "--inline", _BIG_PHI, "--T", "1e10", "--engine", "spectral"],
+    ["moment", "--inline", _BIG_PHI, "--T", "1e10", "--engine", "both"],
+    ["moment", "--inline", "a=1,1;phi=0,1", "--T", "1", "--center", "1e308"],
+    ["verify", "theorem1", "--inline", _BIG_PHI, "--T", "1e10"],
+    ["verify", "eq45", "--inline", _BIG_PHI, "--T", "1e10"],
+])
+def test_out_of_range_phases_are_invalid(argv, capsys):
+    # Phases t phi_n past the double range: unrefused, auto and quadrature
+    # raised an untyped OverflowError (a traceback) and spectral printed nan.
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert "max|phi| is out of range" in err and "rescale the frequencies" in err
+
+
+def test_phases_just_inside_the_range(capsys):
+    # 2 max|phi| T = 2e307 is finite: auto runs spectral, and the far mode
+    # pair adds 2 sin(T d)/(T d), at most 2e-307, to the average 2.
+    assert main(["moment", "--inline", _BIG_PHI, "--T", "1e7"]) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["engine"] == "spectral"
+    assert float(rec["spectral_exact"]) == 2.0
+
+
 def _refuse_constant(name):  # json's hook for NaN, Infinity and -Infinity
     raise ValueError(f"{name} in a report line")
 

@@ -4,9 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from expmoment import quadrature, spectral
+from expmoment import quadrature, spectral, verify
 from expmoment.core import (
-    NonFiniteError,
     NotConvergedError,
     OverflowRangeError,
     Window,
@@ -34,8 +33,15 @@ def test_integrators_refuse_out_of_range_amplitudes():
     # (sum a)^2 = 8.1e299: in range times a mass 2T = 1.2, out of it at 1.3.
     edge = validate_instance([5e149, 4e149], [0.0, 1.5])
     assert windowed_average(edge, 1, Window(0.0, 0.6)).value > 7e299
+    exp = spectral.expand(edge, 1)
+    assert spectral.integral_exact(exp, Window(0.0, 0.6)) > 8e299
+    assert spectral.fejer_weighted_exact(exp, KernelParams(1.2)) > 0
     for call in (lambda: windowed_average(edge, 1, Window(0.0, 0.65)),
-                 lambda: fejer_weighted_integral(edge, 1, KernelParams(1.3))):
+                 lambda: fejer_weighted_integral(edge, 1, KernelParams(1.3)),
+                 lambda: spectral.integral_exact(exp, Window(0.0, 0.65)),
+                 lambda: spectral.fejer_weighted_exact(exp, KernelParams(1.3)),
+                 # (sum a)^4 = 1.6e308, which the Parseval residual would raise to.
+                 lambda: spectral.expand(validate_instance([1e77, 1e77], [0.0, 1.0]), 2)):
         with pytest.raises(OverflowRangeError, match="exceeds 1e300"):
             call()
 
@@ -187,12 +193,11 @@ def test_error_estimate_reported():
 
 
 def test_config_validation():
-    for kwargs in ({"rel_tol": 0.0}, {"rel_tol": math.nan}, {"rel_tol": math.inf}):
-        with pytest.raises(NonFiniteError):
-            QuadratureConfig(**kwargs)
-    for constant in ("gauss_order", "max_panels"):  # class constants, not fields
+    for constant in ("rel_tol", "gauss_order", "max_panels"):  # class constants
         with pytest.raises(TypeError):
             QuadratureConfig(**{constant: 8})
+    # The rule's certified error and the verdict's slack are one number.
+    assert verify.PASS_REL_SLACK is QuadratureConfig.rel_tol
 
 
 @pytest.mark.parametrize("r", [0.5, 0.999, 1.0])

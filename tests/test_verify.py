@@ -22,8 +22,8 @@ from expmoment.core import (
 )
 from expmoment.evaluate import eval_sum
 from expmoment.fejer import KernelParams
-from expmoment.quadrature import bandlimit, windowed_average
-from expmoment.spectral import expand, fejer_weighted_exact
+from expmoment.quadrature import bandlimit, fejer_weighted_integral, windowed_average
+from expmoment.spectral import expand, fejer_weighted_exact, integral_exact
 from expmoment.verify import (
     check_bohr_bound,
     check_eq45,
@@ -305,6 +305,9 @@ def test_bohr_rejects_nonpositive_frequencies():
 
 _PAIR = validate_instance([1.0, 1.0], [0.0, 1.5])
 _HUGE_PHASES = validate_instance([1.0, 1.0], [-1e308, 1e308])
+_BIG_PHI = validate_instance([1.0, 1.0], [0.0, 1e300])
+# 31 cosine factors of about 5e-12 each: their product underflows to 0.
+_FLAT_PHIS = [1 - 3.2e-12 - (31 - j) * 1e-15 for j in range(31)] + [1.0]
 
 
 @pytest.mark.parametrize("call, error", [
@@ -334,6 +337,18 @@ _HUGE_PHASES = validate_instance([1.0, 1.0], [-1e308, 1e308])
     (lambda: check_ingham_mordell(validate_instance([1.0, 1.0], [0.0, 1e300]), 1e-10),
      OverflowRangeError),
     (lambda: check_ingham_mordell(_HUGE_PHASES, 1e300), OverflowRangeError),
+    (lambda: windowed_average(_BIG_PHI, 1, Window(0.0, 1e10)), OverflowRangeError),
+    (lambda: fejer_weighted_integral(_BIG_PHI, 1, KernelParams(1e10)),
+     OverflowRangeError),
+    (lambda: integral_exact(expand(_BIG_PHI, 1), Window(0.0, 1e10)),
+     OverflowRangeError),
+    (lambda: fejer_weighted_exact(expand(_BIG_PHI, 1), KernelParams(1e10)),
+     OverflowRangeError),
+    (lambda: check_theorem1(_BIG_PHI, 1, 1e10), OverflowRangeError),
+    (lambda: check_bohr_bound(validate_instance([1.0] * 32, _FLAT_PHIS), 32),
+     DegenerateCosineError),
+    (lambda: check_bohr_bound(validate_instance([0.0] * 32, _FLAT_PHIS), 32),
+     DegenerateCosineError),
     (lambda: list(verify.campaign("nope", 1, 1)), ExpMomentError),
     (lambda: check_theorem1(_PAIR, 1, 1.0, engine="nope"), ValueError),
     (lambda: zeta.coefficient_square_sum(zeta.power_coefficients(5, 2), 26),
@@ -345,6 +360,10 @@ _HUGE_PHASES = validate_instance([1.0, 1.0], [-1e308, 1e308])
         "bohr-index-range", "bohr-degenerate-cosine", "bohr-infinite-t-max",
         "sup-chain-phase-overflow", "sup-chain-difference-overflow",
         "ingham-phase-overflow", "ingham-difference-overflow",
+        "window-phase-overflow", "fejer-phase-overflow",
+        "spectral-window-phase-overflow", "spectral-fejer-phase-overflow",
+        "theorem1-phase-overflow", "bohr-product-underflow",
+        "bohr-product-underflow-zero-amplitudes",
         "campaign-unknown", "engine-unknown",
         "square-sum-past-table"])
 def test_refusals_raise_their_typed_error(call, error):

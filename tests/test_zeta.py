@@ -350,19 +350,13 @@ def test_divisor_sum_hand_value():
 
 
 def test_divisor_sum_nondecreasing():
-    table = divisor_table(500, 2)
-    vals = [divisor_sum(x, 2, table) for x in range(1, 501, 25)]
+    vals = [divisor_sum(x, 2) for x in range(1, 501, 25)]
     assert all(lo <= hi for lo, hi in zip(vals, vals[1:]))
 
 
 def test_square_sum_argument_errors():
     with pytest.raises(ValueError):
-        divisor_sum(100, 3, divisor_table(100, 2))
-    with pytest.raises(BudgetExceededError):
-        divisor_sum(200, 2, divisor_table(100, 2))
-    with pytest.raises(ValueError):
-        divisor_sum(-5, 2, divisor_table(100, 2))
-    assert divisor_sum(0, 2, divisor_table(100, 2)) == 0.0
+        divisor_sum(-5, 2)
     table = power_coefficients(10, 2)
     with pytest.raises(ValueError):
         coefficient_square_sum(table, -4)
