@@ -28,7 +28,7 @@ from .core import (
     validate_instance,
     validate_order,
 )
-from .evaluate import _check_overflow, power_on_array
+from .evaluate import _check_overflow, _check_phase_range, power_on_array
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -176,6 +176,7 @@ def cmd_plotdata(args) -> int:
     ts = np.linspace(args.tmin, args.tmax, args.points)
     if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()):
         raise ExpMomentError("grid points must be finite and strictly increasing")
+    _check_phase_range(instance.frequencies, 1, max(abs(args.tmin), abs(args.tmax)))
     vals = power_on_array(instance, ts, args.q)
     print("t,power")
     for t, v in zip(ts, vals):

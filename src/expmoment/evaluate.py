@@ -37,10 +37,12 @@ def _check_overflow(source, power: int, mass: float = 1.0) -> None:
     That bounds |S|^power times the kernel's mass, so every engine's values and
     sums stay in the double range (callers may rescale: everything is
     homogeneous).  It is taken in the log domain, and a sum that itself
-    leaves the double range is out of range.
+    leaves the double range is out of range.  source has amplitude_sum(),
+    or is the array of the c_n themselves.
     """
     try:
-        total = source.amplitude_sum()
+        total = (math.fsum(abs(complex(c)) for c in source)
+                 if isinstance(source, np.ndarray) else source.amplitude_sum())
     except OverflowError:
         total = math.inf
     if total > 0 and (power * math.log(total) + math.log(max(1.0, mass))

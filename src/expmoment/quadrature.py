@@ -133,16 +133,16 @@ _LOG_GAUSS_FACTOR = (math.log(64 / 15) - 2 * (QuadratureConfig.gauss_order - 1)
 
 
 def _panels_needed(ys: np.ndarray, log_my: np.ndarray, half: float,
-                   weight, tol: float) -> float:
-    """Panels per piece of half-width ``half`` whose summed bound is <= tol.
+                   weight, log_tol: float) -> float:
+    """Panels per piece of half-width ``half`` whose summed bound is <= e^log_tol.
 
     For each rho, the widest ellipse height y whose log M(y) fits the budget
     left by the other factors is read off the chord of log M through the
     grid (ys, log_my).  log M is convex, so the chord lies above it and the
     y it gives is admissible; the weight is taken at h = half, where it is
-    largest.  Returns inf when no grid point meets tol.
+    largest.  Returns inf when no grid point meets the tolerance.
     """
-    budget = math.log(tol) - _LOG_GAUSS_FACTOR - np.log(weight(half, _RHOS))
+    budget = log_tol - _LOG_GAUSS_FACTOR - np.log(weight(half, _RHOS))
     heights = np.where(budget >= log_my[0], np.interp(budget, log_my, ys), 0.0)
     widest = float(np.max(2 * heights / (_RHOS - 1 / _RHOS)))
     return math.ceil(half / widest) if widest > 0 else math.inf
@@ -159,11 +159,12 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     Theorem-1 floor mass * (sum |c|^2)^q / 3, which only sizes: the value
     passes when bound <= rel_tol * |value| + 1e-15 * scale.  Otherwise
     (complex sources can cancel) it is re-sized from the computed value,
-    and then from the absolute floor alone.  As |value|
-    <= scale, a capped bound past (rel_tol + 1e-15) * scale cannot pass and
-    is refused before evaluating, with value nan; the two are compared in
-    logs, and a bound past the double range is reported as inf.  A
-    constant |S| is exact with no panels: |S|^{2q} * mass, bound 0.
+    and then from the absolute floor alone.  Tolerances are taken in logs,
+    as shares of scale = (sum |c|)^{2q} * mass, which underflows for tiny
+    amplitudes.  As |value| <= scale, a capped bound past (rel_tol + 1e-15)
+    * scale cannot pass and is refused before evaluating, with value nan; a
+    bound past the double range is reported as inf.  A constant |S| is
+    exact with no panels: |S|^{2q} * mass, bound 0.
     Returns (integral / norm, bound / norm, metadata).
     """
     if (modulus := _constant_modulus(source)) is not None:
@@ -174,11 +175,13 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     log_m = _log_envelope(mags, source.frequencies, q)
     ys = _YS / bandlimit(source, q)
     log_my = np.maximum.accumulate(log_m(ys))  # non-decreasing, for np.interp
-    scale = float(np.sum(mags)) ** (2 * q) * mass
-    target, points = mass * float(np.sum(mags ** 2)) ** q / 3, 0
+    unit = float(np.sum(mags))  # > 0: an all-zero source has constant modulus
+    scale = unit ** (2 * q) * mass
+    log_scale = 2 * q * math.log(unit) + math.log(mass)
+    share, points = float(np.sum((mags / unit) ** 2)) ** q / 3, 0  # target / scale
     for attempt in range(3):
-        tol = QuadratureConfig.rel_tol * target + 1e-15 * scale
-        per_piece = _panels_needed(ys, log_my, half, weight, tol)
+        log_tol = log_scale + math.log(QuadratureConfig.rel_tol * share + 1e-15)
+        per_piece = _panels_needed(ys, log_my, half, weight, log_tol)
         capped = per_piece * pieces > QuadratureConfig.max_panels
         if capped:
             per_piece = max(1, QuadratureConfig.max_panels // pieces)
@@ -188,7 +191,7 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
         best = int(np.argmin(log_bounds))
         log_bound = float(log_bounds[best])
         bound = math.exp(log_bound) if log_bound <= _LOG_MAX else math.inf
-        if capped and log_bound > math.log((QuadratureConfig.rel_tol + 1e-15) * scale):
+        if capped and log_bound > log_scale + math.log(QuadratureConfig.rel_tol + 1e-15):
             raise NotConvergedError(math.nan, bound / norm)
         idx = np.arange(pieces * per_piece)
         total = float(np.sum(_panel_sums(f, lo, 2 * h, idx, nodes, weights)))
@@ -199,7 +202,8 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
                 "error_kind": "truncation_bound"}
         if capped:
             break
-        target = max(abs(total) - bound, 0.0) / 2 if attempt == 0 else 0.0
+        # scale > 0 here: below the double range, bound underflows to 0 and passes.
+        share = max(abs(total) - bound, 0.0) / (2 * scale) if attempt == 0 else 0.0
     raise NotConvergedError(total / norm, bound / norm)
 
 

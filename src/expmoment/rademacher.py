@@ -15,24 +15,26 @@ import math
 import numpy as np
 
 from .core import NonFiniteError, TooManySignsError, validate_order
+from .evaluate import _check_overflow
 
 _MAX_EXHAUSTIVE = 24
 _SIGN_CHUNK = 1 << 16
 
 
-def _as_complex(values) -> np.ndarray:
+def _as_complex(values, q: int) -> np.ndarray:
     z = np.asarray([complex(v) for v in values], dtype=np.complex128)
     if z.size == 0:
         raise NonFiniteError("need at least one coefficient")
     if not np.all(np.isfinite(z)):
         raise NonFiniteError("non-finite coefficient")
+    _check_overflow(z, 2 * q)  # (sum |z_n|)^{2q} bounds every |sum eps_n z_n|^{2q}
     return z
 
 
 def exact_even_moment(values, q: int) -> float:
     """E|sum_n eps_n z_n|^{2q} exactly, by the O(N q^3) moment fold."""
     q = validate_order(q)
-    z = _as_complex(values)
+    z = _as_complex(values, q)
     a = np.arange(q + 1)
     lag = np.subtract.outer(a, a)
     power = np.clip(lag, 0, None)
@@ -66,7 +68,7 @@ def exhaustive_moment(values, q: int) -> float:
     of at most _SIGN_CHUNK entries.
     """
     q = validate_order(q)
-    z = _as_complex(values)
+    z = _as_complex(values, q)
     n = z.size
     if n > _MAX_EXHAUSTIVE:
         raise TooManySignsError(f"2^{n} sign vectors is too many (max N={_MAX_EXHAUSTIVE})")

@@ -25,6 +25,7 @@ from .core import (
     NonFiniteError,
     OverflowRangeError,
     Window,
+    validate_instance,
     validate_order,
 )
 from .evaluate import _check_overflow, _check_phase_range
@@ -320,12 +321,10 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
                for j in range(1, n)]
     factors += [math.cos(math.pi * phis[n - 1] / (2 * phis[j - 1]))
                 for j in range(n + 1, big_n + 1)]
-    product = 1.0
-    for f in factors:
-        product *= f
-        if f <= 1e-12 or product == 0.0:
-            raise DegenerateCosineError(f"cosine factor {f!r} too small, or the "
-                                        f"product {product!r} underflows")
+    product, smallest = math.prod(factors, start=1.0), min(factors, default=1.0)
+    if smallest <= 1e-12 or product == 0.0:
+        raise DegenerateCosineError(f"cosine factor {smallest!r} too small, or the "
+                                    f"product {product!r} underflows")
     t_max = (math.pi / 2) * (n / phis[n - 1]
                              + math.fsum(1.0 / phis[j - 1]
                                          for j in range(n + 1, big_n + 1)))
@@ -350,13 +349,9 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
 CAMPAIGN_CHECKS = ("theorem1", "lemma", "eq45", "sup-chain", "ingham", "bohr")
 
 
-def _instance(amps, phis) -> Instance:
-    return Instance(tuple(map(float, amps)), tuple(map(float, phis)))
-
-
 def random_instance(rng, max_n: int = 8, freq_range=(-10.0, 10.0)) -> Instance:
     n = int(rng.integers(1, max_n + 1))
-    return _instance(rng.uniform(0.0, 1.0, n), rng.uniform(*freq_range, n))
+    return validate_instance(rng.uniform(0.0, 1.0, n), rng.uniform(*freq_range, n))
 
 
 def random_dominated(rng, instance: Instance) -> ComplexCoefficients:
@@ -390,7 +385,7 @@ def campaign(check: str, count: int, seed: int):
             report = check_lemma(source, q, T, T0)
         elif check == "eq45":
             n = int(rng.integers(1, 6))
-            inst = _instance(rng.uniform(0, 1, n), rng.integers(-10, 11, n))
+            inst = validate_instance(rng.uniform(0, 1, n), rng.integers(-10, 11, n))
             source = random_dominated(rng, inst)
             T = float(rng.uniform(0.1, 50.0))
             H = float(rng.uniform(-100.0, 100.0))
@@ -403,12 +398,12 @@ def campaign(check: str, count: int, seed: int):
             gamma = float(rng.uniform(0.5, 2.0))
             gaps = rng.uniform(gamma, 2 * gamma, n - 1)
             phis = np.concatenate(([rng.uniform(-5, 5)], gaps)).cumsum()
-            source = _instance(rng.uniform(0, 1, n), phis)
+            source = validate_instance(rng.uniform(0, 1, n), phis)
             report = check_ingham_mordell(source, gamma)
         else:
             n = int(rng.integers(1, 5))
             phis = np.cumprod(rng.uniform(2.0, 3.0, n)) * rng.uniform(0.5, 2.0)
-            source = _instance(rng.uniform(0, 1, n), phis)
+            source = validate_instance(rng.uniform(0, 1, n), phis)
             report = check_bohr_bound(source, int(rng.integers(1, n + 1)))
         report.method["seed"] = seed
         yield source, report

@@ -61,13 +61,9 @@ def _max_divisor_count(x: int, nu: int) -> int:
     m' = 2^{k1} 3^{k2} 5^{k3}... <= m with k1 >= k2 >= ... and the same
     d_nu: the search walks only those.
     """
-    primes = []  # their product exceeds x, so walk never runs past the end
-    candidate, primorial = 2, 1
-    while primorial <= x:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-            primorial *= candidate
-        candidate += 1
+    # The primes <= 4 b, b the bit length of x, multiply past 2^b > x, so
+    # walk never runs past the end.
+    primes = _primes_upto(4 * x.bit_length()).tolist()
 
     def walk(m: int, i: int, kmax: int, count: int) -> int:
         best = count
@@ -171,15 +167,13 @@ def power_coefficients(N: int, nu: int, limit: int | None = None) -> Coefficient
 
 
 def _primes_upto(n: int) -> np.ndarray:
-    """Primes <= n by the sieve of Eratosthenes over the odd numbers."""
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2 i + 1
-    odd[0] = False
-    for i in range(1, (math.isqrt(n) + 1) // 2):
-        if odd[i]:
-            odd[2 * i * (i + 1)::2 * i + 1] = False  # from (2 i + 1)^2
-    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
+    """Primes <= n by the sieve of Eratosthenes."""
+    sieve = np.ones(max(n + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve)
 
 
 def _raise_powers(d: np.ndarray, p: int, k: int, last: float, nu: int) -> None:
@@ -251,21 +245,19 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
 
 
 def _weighted_square_sums(arr: np.ndarray, uptos) -> list[float]:
-    """sum_{1<=m<=upto} arr[m]^2 / m for each upto, in one pass over arr:
-    the fsum of the whole 2^16-entry chunk partials below upto and of the
-    sum of its own partial chunk, the same floats as for upto alone."""
-    chunk, end = 1 << 16, max(uptos, default=0) + 1
-    whole, tails = [], {}
-    for start in range(1, end, chunk):
-        m = np.arange(start, min(start + chunk, end), dtype=np.float64)
-        v = arr[start:start + m.size].astype(np.float64)
-        w = v * v / m
-        for upto in uptos:
-            if start <= upto < start + chunk - 1:
-                tails[upto] = float(np.sum(w[:upto + 1 - start]))
-        if m.size == chunk:
-            whole.append(float(np.sum(w)))
-    return [math.fsum(whole[:upto // chunk] + [tails.get(upto, 0.0)])
+    """sum_{1<=m<=upto} arr[m]^2 / m for each upto: the fsum of the sums of the
+    whole 2^16-entry chunks below upto, each taken once, and of the sum of its
+    own partial chunk, the same floats as for upto alone."""
+    chunk = 1 << 16
+
+    def chunk_sum(start: int, stop: int) -> float:
+        v = arr[start:stop].astype(np.float64)
+        return float(np.sum(v * v / np.arange(start, stop, dtype=np.float64)))
+
+    whole = [chunk_sum(start, start + chunk)
+             for start in range(1, max(uptos, default=0) + 2 - chunk, chunk)]
+    return [math.fsum(whole[:upto // chunk]
+                      + [chunk_sum(upto - upto % chunk + 1, upto + 1)])
             for upto in uptos]
 
 

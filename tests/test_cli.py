@@ -349,10 +349,12 @@ _BIG_PHI = "a=1,1;phi=0,1e300"
     ["moment", "--inline", "a=1,1;phi=0,1", "--T", "1", "--center", "1e308"],
     ["verify", "theorem1", "--inline", _BIG_PHI, "--T", "1e10"],
     ["verify", "eq45", "--inline", _BIG_PHI, "--T", "1e10"],
+    ["plotdata", "--inline", _BIG_PHI, "--tmin", "0", "--tmax", "1e10", "--points", "3"],
 ])
 def test_out_of_range_phases_are_invalid(argv, capsys):
     # Phases t phi_n past the double range: unrefused, auto and quadrature
-    # raised an untyped OverflowError (a traceback) and spectral printed nan.
+    # raised an untyped OverflowError (a traceback), and spectral and
+    # plotdata printed nan.
     assert main(argv) == EXIT_INVALID
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
@@ -366,6 +368,15 @@ def test_phases_just_inside_the_range(capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["engine"] == "spectral"
     assert float(rec["spectral_exact"]) == 2.0
+
+
+def test_moment_at_tiny_amplitudes(capsys):
+    # (sum a)^2 = 4e-316 is subnormal: the tolerance 1e-15 (sum a)^2 * 2T
+    # underflowed to 0, and quadrature died of log(0) with exit 2.
+    assert main(["moment", "--inline", "a=1e-158,1e-158;phi=0,1.5", "--T", "10",
+                 "--engine", "quadrature"]) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert float(rec["quadrature"]) == pytest.approx(2.0867050455151474e-316, rel=1e-6)
 
 
 def _refuse_constant(name):  # json's hook for NaN, Infinity and -Infinity

@@ -46,6 +46,20 @@ def test_integrators_refuse_out_of_range_amplitudes():
             call()
 
 
+@pytest.mark.parametrize("integrate, q, kernel, a, rel", [
+    # (sum a)^2 = 4e-316 and (sum a)^4 = 1.6e-319 are subnormal; the values
+    # keep about 26 and 17 bits.
+    (windowed_average, 1, Window(0.0, 10.0), 1e-158, 1e-6),
+    (fejer_weighted_integral, 2, KernelParams(10.0), 1e-80, 1e-4),
+], ids=["window", "fejer"])
+def test_tiny_amplitudes_take_the_panels_of_unit_ones(integrate, q, kernel, a, rel):
+    # The tolerance underflowed to 0 here and log(0) raised ValueError.
+    unit = integrate(validate_instance([1.0, 1.0], [0.0, 1.5]), q, kernel)
+    tiny = integrate(validate_instance([a, a], [0.0, 1.5]), q, kernel)
+    assert tiny.metadata["panels"] == unit.metadata["panels"]
+    assert tiny.value == pytest.approx(unit.value * a ** (2 * q), rel=rel)
+
+
 def test_bandlimit_examples():
     assert bandlimit(validate_instance([1, 1], [0, 1]), 2) == 2.0
     assert bandlimit(validate_instance([1, 1, 1], [5, 5, 5]), 3) == 0.0

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expmoment.core import NonFiniteError, TooManySignsError
+from expmoment.core import NonFiniteError, OverflowRangeError, TooManySignsError
 from expmoment.rademacher import exact_even_moment, exhaustive_moment
 from sign_moment_oracle import sign_moment
 
@@ -132,6 +132,17 @@ def test_rejects_empty_and_non_finite(moment):
     for values in ([], [1.0, math.nan], [complex(1.0, math.inf)]):
         with pytest.raises(NonFiniteError):
             moment(values, 1)
+
+
+@pytest.mark.parametrize("moment", [exact_even_moment, exhaustive_moment])
+def test_refuses_out_of_range_amplitudes(moment):
+    # (sum |z|)^{2q} bounds every |sum eps z|^{2q}: 1.6e401 and 1e320 are out.
+    # Unrefused, the fold returned nan and the enumeration inf.
+    for values, q in (([1e100, 1e100], 2), ([1e160, 1e150], 1)):
+        with pytest.raises(OverflowRangeError, match="exceeds 1e300"):
+            moment(values, q)
+    # (4e74)^4 = 2.56e299 is inside; E(sum eps)^4 = 40 for four unit terms.
+    assert moment([1e74] * 4, 2) == 3.9999999999999995e+297
 
 
 def test_khintchine_ratio_single_coordinate():

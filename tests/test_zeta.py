@@ -12,6 +12,7 @@ from expmoment import zeta
 from expmoment.core import BudgetExceededError, OverflowRangeError
 from expmoment.zeta import (
     _max_divisor_count,
+    _primes_upto,
     _weighted_square_sums,
     coefficient_square_sum,
     corollary_lower_bound,
@@ -327,6 +328,17 @@ def test_max_divisor_count_matches_scan():
     for x, nu in ((1, 3), (100, 2), (720, 3), (5000, 4)):
         assert _max_divisor_count(x, nu) == max(
             _factor_divisor_count(m, nu) for m in range(1, x + 1))
+    # Far past any scan: a prime list too short would cut the walk short.
+    for x, nu, top in ((10 ** 8, 2, 768), (10 ** 8, 3, 58_320),
+                       (10 ** 18, 2, 103_680), (10 ** 30, 4, 1_068_708_659_200_000)):
+        assert _max_divisor_count(x, nu) == top
+
+
+def test_primes_upto_matches_trial_division():
+    want = [p for p in range(2, 10 ** 4 + 1)
+            if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n in [*range(2001), 10 ** 4]:
+        assert _primes_upto(n).tolist() == [p for p in want if p <= n]
 
 
 def test_divisor_multiplicative_spot_checks():
@@ -376,6 +388,12 @@ def test_one_pass_sums_equal_single_sums():
                            237.30033124448084, 1016.7512332633407,
                            1236.1730555499992, 237.30033124448084]
     assert coefficient_square_sum(power_coefficients(40, 2)) == 77.25176411351093
+    # Whole chunks summed once serve every upto, as one call per upto does.
+    chunk = 1 << 16
+    uptos = [chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 5]
+    d = divisor_table(max(uptos), 2).d
+    assert _weighted_square_sums(d, uptos) == [
+        _weighted_square_sums(d, [upto])[0] for upto in uptos]
 
 
 def test_coefficient_chain_inequality():
