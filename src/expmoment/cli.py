@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import verify, zeta
+from . import spectral, verify, zeta
 from .core import (
     BudgetExceededError,
     ExpMomentError,
@@ -173,6 +173,10 @@ def cmd_plotdata(args) -> int:
     _check_overflow(instance, 2 * args.q)
     if args.points < 1:
         raise ExpMomentError("need at least one grid point")
+    if args.points * instance.size > spectral.DEFAULT_TERM_BUDGET:
+        raise BudgetExceededError(
+            f"{args.points} points x {instance.size} terms exceed budget "
+            f"{spectral.DEFAULT_TERM_BUDGET}")
     ts = np.linspace(args.tmin, args.tmax, args.points)
     if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()):
         raise ExpMomentError("grid points must be finite and strictly increasing")

@@ -67,20 +67,37 @@ def _check_phase_range(frequencies, q: int, reach: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """The points rows[i] + cols[j], laid out as a (rows, cols) array.
+    """The points rows[i] + cols[j], laid out as a (rows, *cols) array; cols is
+    an array or itself a Grid.
 
-    Since e^{i(r+c)phi} = e^{ir phi} e^{ic phi}, S on a grid costs
-    N*(rows + cols) exponentials and one matrix product.
+    Since e^{i(r+c)phi} = e^{ir phi} e^{ic phi}, S on a grid is the product
+    (c e^{i rows phi}) @ e^{i cols phi}, and a nested grid's column factor is
+    the outer product of its own two factors.  So S on Grid(rows, cols) costs
+    N*(rows + cols) exponentials, and on Grid(coarse, Grid(fine, nodes))
+    N*(coarse + fine + nodes), with no elementwise pass over every point.
     """
     rows: np.ndarray
-    cols: np.ndarray
+    cols: np.ndarray | Grid
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.rows.size, *self.cols.shape)
 
     @property
     def size(self) -> int:
         return self.rows.size * self.cols.size
 
     def points(self) -> np.ndarray:
-        return np.add.outer(self.rows, self.cols)
+        cols = self.cols.points() if isinstance(self.cols, Grid) else self.cols
+        return np.add.outer(self.rows, cols)
+
+
+def _phases(phis: np.ndarray, ts: np.ndarray | Grid) -> np.ndarray:
+    """e^{i phi_n t} at every point t of ts, shaped (N, *ts.shape)."""
+    if not isinstance(ts, Grid):
+        return np.exp(1j * np.multiply.outer(phis, ts))
+    rows, cols = _phases(phis, ts.rows), _phases(phis, ts.cols)
+    return rows.reshape(rows.shape + (1,) * (cols.ndim - 1)) * cols[:, None]
 
 
 def sum_on_array(source, ts: np.ndarray | Grid) -> np.ndarray:
@@ -89,8 +106,8 @@ def sum_on_array(source, ts: np.ndarray | Grid) -> np.ndarray:
     coeffs = np.asarray(coefficient_values(source), dtype=np.complex128)
     phis = np.asarray(source.frequencies, dtype=np.float64)
     left = np.exp(1j * np.multiply.outer(grid.rows, phis)) * coeffs
-    s = left @ np.exp(1j * np.multiply.outer(phis, grid.cols))
-    return s if isinstance(ts, Grid) else s.reshape(np.shape(ts))
+    s = left @ _phases(phis, grid.cols).reshape(phis.size, -1)
+    return s.reshape(grid.shape if isinstance(ts, Grid) else np.shape(ts))
 
 
 def power_on_array(source, ts: np.ndarray | Grid, q: int) -> np.ndarray:

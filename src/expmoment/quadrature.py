@@ -17,7 +17,9 @@ smooth rules size one level of equal panels so that this bound, summed
 over the panels, meets the tolerance, evaluate it once, and report the
 bound as the error estimate (error_kind "truncation_bound").  The bound
 covers truncation only, not floating-point rounding in evaluating
-|S|^{2q} and summing the panels.
+|S|^{2q} and summing the panels.  S at a point t = coarse + fine + node is
+the product of three rounded phase factors (see _panel_sums), which adds
+rounding of the same order, eps * |t| * max|phi|, as one factor e^{it phi}.
 """
 from __future__ import annotations
 
@@ -39,8 +41,10 @@ from .core import (
 from .evaluate import Grid, _check_overflow, _check_phase_range, power_on_array
 from .fejer import KernelParams, kernel_value
 
-# Cap on points per evaluation call: a chunk of rows = _CHUNK / nodes panels
-# holds rows * (N + nodes) complex values, which keeps peak memory bounded.
+# Cap on points per evaluation call.  A chunk of R = _CHUNK / nodes panels,
+# split into R1 = ceil(R / k) coarse rows of k = isqrt(R) panels each, holds
+# about (R1 + nodes * k) * N + nodes * R1 * k complex values, not the
+# R * (N + nodes) of one flat grid, which keeps peak memory bounded.
 _CHUNK = 1 << 18
 
 # Panel sizing searches these grids: rho, and y = Im z in units of
@@ -99,14 +103,27 @@ def gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panel_sums(f, lo: float, width: float, idx: np.ndarray,
+def _panel_sums(f, lo: float, width: float, panels: int,
                 nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre sums over the panels lo + [j, j+1] * width, j in idx."""
-    mids = lo + (idx + 0.5) * width
+    """Gauss-Legendre sums over the panels lo + [j, j+1] * width, j < panels.
+
+    A chunk of R panels from j0 is split as j = j0 + k*r1 + r2, k = isqrt(R),
+    and f is evaluated on Grid(coarse, Grid(fine, half * nodes)) with the
+    midpoints coarse[r1] + fine[r2]: N * (R/k + k + nodes) exponentials, not
+    N * (R + nodes).  The at most k - 1 panels past the chunk's R are
+    evaluated and dropped before the weights apply, so no point outside the
+    window enters the sum.
+    """
     half = 0.5 * width
     rows = max(1, _CHUNK // nodes.size)
-    return half * np.concatenate([f(Grid(mids[i:i + rows], half * nodes)) @ weights
-                                  for i in range(0, mids.size, rows)])
+    sums = []
+    for start in range(0, panels, rows):
+        count = min(rows, panels - start)
+        k = math.isqrt(count)
+        coarse = lo + (start + k * np.arange(-(-count // k)) + 0.5) * width
+        grid = Grid(coarse, Grid(width * np.arange(k), half * nodes))
+        sums.append(f(grid).reshape(-1, nodes.size)[:count] @ weights)
+    return half * np.concatenate(sums)
 
 
 def _log_envelope(mags: np.ndarray, frequencies, q: int):
@@ -193,12 +210,12 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
         bound = math.exp(log_bound) if log_bound <= _LOG_MAX else math.inf
         if capped and log_bound > log_scale + math.log(QuadratureConfig.rel_tol + 1e-15):
             raise NotConvergedError(math.nan, bound / norm)
-        idx = np.arange(pieces * per_piece)
-        total = float(np.sum(_panel_sums(f, lo, 2 * h, idx, nodes, weights)))
-        points += idx.size * nodes.size
+        panels = pieces * per_piece
+        total = float(np.sum(_panel_sums(f, lo, 2 * h, panels, nodes, weights)))
+        points += panels * nodes.size
         if bound <= QuadratureConfig.rel_tol * abs(total) + 1e-15 * scale:
             return total / norm, bound / norm, {
-                "panels": idx.size, "points": points, "rho": float(_RHOS[best]),
+                "panels": panels, "points": points, "rho": float(_RHOS[best]),
                 "error_kind": "truncation_bound"}
         if capped:
             break

@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from expmoment import spectral
+from expmoment import cli, spectral
 from expmoment.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -304,6 +304,19 @@ def test_plotdata_overflow_is_invalid():
     # (sum a_n)^{2q} = (2e200)^4 leaves the double range.
     assert main(["plotdata", "--inline", "a=1e200,1e200;phi=0,1", "--q", "2",
                  "--tmin", "0", "--tmax", "1", "--points", "3"]) == EXIT_INVALID
+
+
+def test_plotdata_past_the_term_budget(monkeypatch, capsys):
+    # 1e12 points x 2 terms: the points x N array would take 32 TB.  It is
+    # refused before np.linspace builds the grid.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    assert main(["plotdata", "--inline", "a=1,1;phi=0,1", "--tmin", "0",
+                 "--tmax", "1", "--points", "1000000000000"]) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert str(spectral.DEFAULT_TERM_BUDGET) in err
 
 
 _HUGE = "a=1e200,1e200;phi=0,1.5"   # (sum a)^2 = 4e400

@@ -120,6 +120,33 @@ def test_sum_on_grid_matches_pointwise(inst, phases, rows, cols):
                 assert abs(vals[i, j] - eval_sum(source, t)) <= bound
 
 
+@settings(max_examples=50)
+@given(small_instances,
+       st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8),
+       st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+       st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=4))
+@example(validate_instance([2.2250738585e-313], [1.0]), [0.0] * 8, [2.0], [1.0], [0.5])
+def test_sum_on_nested_grid_matches_pointwise(inst, phases, coarse, fine, cols):
+    values = [a * cmath.exp(1j * th) for a, th in zip(inst.amplitudes, phases)]
+    cc = dominated_coefficients(values, inst)
+    grid = Grid(np.array(coarse), Grid(np.array(fine), np.array(cols)))
+    shape = (len(coarse), len(fine), len(cols))
+    assert grid.shape == shape and grid.size == math.prod(shape)
+    points = grid.points()
+    assert points.shape == shape
+    for source in (inst, cc):
+        vals = sum_on_array(source, grid)
+        assert vals.shape == shape
+        for i, j, k in np.ndindex(shape):
+            t = coarse[i] + (fine[j] + cols[k])
+            assert points[i, j, k] == t
+            bound = 1e-12 * source.amplitude_sum() * max(
+                1.0, max(abs(t * p) for p in inst.frequencies)) \
+                + 4 * inst.size * math.ulp(0.0)
+            assert abs(vals[i, j, k] - eval_sum(source, t)) <= bound
+
+
 def test_overflow_guard_in_log_domain():
     # (sum |c|)^power * max(1, mass) against 1e300, with no float overflow on
     # the way, even for complex parts near the top of the double range.

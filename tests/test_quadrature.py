@@ -26,6 +26,7 @@ from expmoment.verify import (
     random_dominated,
     random_instance,
 )
+from expmoment.zeta import zeta_instance
 from tuple_sum_oracle import closed_form_cases
 
 
@@ -295,6 +296,38 @@ def test_bound_covers_mpmath_tuple_sum():
             <= res.error_estimate + _rounding(source, q, 1)
         res = fejer_weighted_integral(source, q, KernelParams(T, shift))
         assert abs(res.value - fej) <= res.error_estimate + _rounding(source, q, T)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 7, 9, 10])
+def test_chunk_edges_do_not_move_the_rule(monkeypatch, per_chunk):
+    # Each chunk of R panels is a nested grid of ceil(R / isqrt(R)) rows of
+    # isqrt(R) panels, trimmed to R.  Chunks of 1, 2, 7, 9 and 10 panels
+    # leave 0 to isqrt(R) - 1 padding panels in full and in last chunks.
+    inst = validate_instance([1.0, 0.7, 0.4], [0.0, 1.3, 3.1])
+    cc = dominated_coefficients([0.5j, -0.7, 0.3 + 0.1j], inst)
+    # 47, 20, 30 and 42 panels.
+    calls = [lambda: windowed_average(inst, 2, Window(5.0, 100.0)),
+             lambda: windowed_average(cc, 1, Window(-40.0, 80.0)),
+             lambda: fejer_weighted_integral(inst, 2, KernelParams(60.0, 5.0)),
+             lambda: fejer_weighted_integral(cc, 3, KernelParams(60.0, -3.0))]
+    unpatched = [call() for call in calls]
+    panels = [ref.metadata["panels"] for ref in unpatched]
+    assert min(panels) > per_chunk
+    assert per_chunk == 1 or any(p % per_chunk for p in panels)
+    monkeypatch.setattr(quadrature, "_CHUNK", per_chunk * QuadratureConfig.gauss_order)
+    for call, ref in zip(calls, unpatched):
+        res = call()
+        assert res.metadata == ref.metadata
+        assert res.error_estimate == ref.error_estimate
+        assert res.value == pytest.approx(ref.value, rel=1e-13)
+
+
+@pytest.mark.parametrize("N, T", [(80, 1e3), (100, 1e4)])
+def test_zeta_quadrature_matches_integral_exact(N, T):
+    inst = zeta_instance(N)
+    res = windowed_average(inst, 2, Window(0.0, T))
+    exact = spectral.integral_exact(spectral.expand(inst, 2), Window(0.0, T)) / (2 * T)
+    assert res.value == pytest.approx(exact, rel=1e-12)
 
 
 def test_gauss_nodes_cached_read_only():
