@@ -9,14 +9,20 @@ only the kernel K changes.  K is even and the merged modes strictly increase,
 so the form is K(0) sum_k |b_k|^2 + 2 Re sum_{j<k} b_j K(f_k - f_j) conj(b_k),
 with K evaluated only at d = f_k - f_j > 0: 2 sin(T d)/d with K(0) = 2T for a
 window, 4 sin^2(T d/2)/(T d^2) with K(0) = T for the Fejer kernel.  Both
-need sin(theta d) (theta = T, T/2).  Pairs whose gap d passes a cut of at
-most 0.018 (max|f| + 4/T) take it by angle addition, s_k c_j - c_k s_j,
-from s = sin(theta f) and c = cos(theta f) computed once per mode, so they
-need no transcendental; closer pairs take sin(theta d) directly (_form
-states the bound).
+are 2 theta (sin(theta d)/(theta d))^p (theta = T, p = 1; theta = T/2,
+p = 2), and sin(theta d) = s_k c_j - c_k s_j by angle addition from
+s = sin(theta f) and c = cos(theta f), computed once per mode.  So past a
+far threshold d_far the sum is p + 1 separable terms times the Cauchy
+matrix 1/(f_k - f_j)^p: a subtraction, a reciprocal and a product with
+2p + 2 per-mode columns (Greengard and Rokhlin, J. Comput. Phys. 73, 1987;
+Dutt, Gu and Rokhlin, SIAM J. Numer. Anal. 33, 1996, sum such products
+fast; this is their direct stage).  The pairs closer than d_far are summed
+one by one: angle addition again, and sin(theta d) directly below a cut of
+at most 0.018 (max|f| + 4/T).  _form states both bounds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +43,8 @@ from .fejer import KernelParams
 
 DEFAULT_TERM_BUDGET = 10 ** 8
 
-# Kernel entries (mode pairs) evaluated per numpy block.
+# Mode pairs per block of rows of the form, near band and far rectangle
+# each: it bounds the form's temporaries, not its result.
 _ROW_CHUNK = 2 ** 16
 
 # Bound on 2q max|phi| for exact integer-frequency expansion.
@@ -160,6 +167,21 @@ def rational_mode_expand(source: Instance | ComplexCoefficients,
     return _expand(source, q, True)
 
 
+def _far_columns(B: np.ndarray, s: np.ndarray, c: np.ndarray,
+                 power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode columns U, V with U_j . V_k = (s_k c_j - c_k s_j)^power B_j . B_k.
+
+    The binomial expansion of the power splits it into power + 1 separable
+    terms C(power, a) (-1)^a [c_j^(power-a) s_j^a] [s_k^(power-a) c_k^a], each
+    times the two columns of B.
+    """
+    terms = range(power + 1)
+    U = np.hstack([(math.comb(power, a) * (-1) ** a * c ** (power - a) * s ** a)[:, None]
+                   * B for a in terms])
+    V = np.hstack([(s ** (power - a) * c ** a)[:, None] * B for a in terms])
+    return U, V
+
+
 def _form(expansion: SpectralExpansion, theta: float, power: int,
           shift: float, reach: float, what: str) -> float:
     """sum_{j,k} b_j K(f_k - f_j) conj(b_k) with b = A e^{i f shift}.
@@ -170,21 +192,42 @@ def _form(expansion: SpectralExpansion, theta: float, power: int,
     Summed as k0 sum_k |b_k|^2 + 2 sum_{j<k} K(f_k - f_j) B_j . B_k, where
     B_j . B_k = Re(b_j conj(b_k)) over the two real columns B = (Re b, Im b),
     so K is never cast to complex.  _merge leaves freqs strictly increasing,
-    so the pairs j < k are those with d = f_k - f_j > 0.  Each block of rows
-    [start, stop) is one rectangle over the columns [start + 1, n), of at
-    most _ROW_CHUNK entries; its entries with d <= 0 get d = inf, so their
-    kernel is exactly 0.
+    so the pairs j < k are those with d = f_k - f_j > 0.  The rows go in
+    blocks [start, stop) of at most _ROW_CHUNK // n rows, and each block's
+    columns (start, n) split at the first column whose d from the block's
+    last row passes d_far; as freqs increase and rounding is monotone,
+    every row of the block is as far from it.
 
-    A pair takes sin(theta d) by angle addition, s_k c_j - c_k s_j
-    with s = sin(theta f) and c = cos(theta f) computed once per mode.  Each
+    The near band, columns (start, split), holds the d <= 0 triangle (d
+    set to inf, so its kernel is exactly 0) and every close pair.  A pair
+    there takes sin(theta d) by angle addition, s_k c_j - c_k s_j with
+    s = sin(theta f) and c = cos(theta f) computed once per mode.  Each
     of s, c errs by at most u (theta |f| + 1), u = eps/2; as |s| + |c| <=
     sqrt 2 and the products and the difference add 3u, the numerator errs by
     at most 2 sqrt(2) u (theta max|f| + 1) + 3u <= e = 4u (theta max|f| + 2).
     That moves sinc(theta d) = sin(theta d)/(theta d) by y = e/(theta d),
     and K/k0 = sinc^power by at most y (power + y), as |sinc| <= 1.  That
-    is at most 1e-13 when y <= 1e-13/(2 power), that is when
+    is at most 0.5e-13 + y^2 when y <= 1e-13/(2 power), that is when
     d >= cut = 4 power eps (max|f| + 2/theta)/1e-13.  A pair with
     0 < d < cut takes sin(theta d) directly.
+
+    The far rectangle, columns [split, n), is the Cauchy-matrix product
+    sum_j U_j . sum_k V_k / (f_k - f_j)^power over the c, s columns U and
+    the s, c columns V of _far_columns: one subtraction into a reused
+    buffer, a reciprocal, a square for Fejer, and a product with V.  Each
+    rectangle's sum takes the factor k0/theta^power = 2/theta^(power-1),
+    so no column outgrows B.  The same s, c give the same
+    y (power + y), but the power + 1 terms can cancel: their sizes add up
+    to at most (|s_k c_j| + |c_k s_j|)^power <= 1 times
+    k0/(theta d)^power |B_j| |B_k|, and each carries at most 6 power
+    roundings (the columns, 1/d^power, two products and the factor; the
+    sums over k and the columns round as the near band's do), so a pair
+    errs by at most 3 power eps/(theta d)^power of k0 more.  That is at
+    most 4e-14 once theta d >= c_p = (3 power eps/4e-14)^(1/power): 0.017
+    for the window, below theta cut >= 0.018, and 0.18 for Fejer.  So
+    d_far = max(cut, c_p/theta), and every pair errs by less than 1e-13 of
+    k0 |B_j| |B_k|.  A block with no column past d_far, as the last block
+    and every form of at most 256 modes are, is all near band.
 
     Merging and the rounding of the folds moved each mode by at most
     merge_width + fold_error, so each pair's phase on the |t| <= reach that
@@ -212,17 +255,32 @@ def _form(expansion: SpectralExpansion, theta: float, power: int,
         return k if power == 1 else k * k / k0
 
     s, c = np.sin(theta * f), np.cos(theta * f)
-    cut = 4 * power * np.finfo(np.float64).eps * (np.abs(f).max() + 2 / theta) / 1e-13
+    eps = np.finfo(np.float64).eps
+    cut = 4 * power * eps * (np.abs(f).max() + 2 / theta) / 1e-13
     rows = max(1, min(n, _ROW_CHUNK // n))
+    if rows < n:  # the blocks before the last may have far columns
+        d_far = max(cut, (3 * power * eps / 4e-14) ** (1 / power) / theta)
+        U, V = _far_columns(B, s, c, power)
+        scale = 2 / theta ** (power - 1)  # k0 / theta^power
+        buf = np.empty(rows * n)
     upper = 0.0
     for start in range(0, n - 1, rows):
         stop = min(start + rows, n)
-        d = f[start + 1:] - f[start:stop, None]
+        split = n
+        if stop < n and f[-1] - f[stop - 1] >= d_far:
+            split = stop + int(np.searchsorted(f[stop:] - f[stop - 1], d_far))
+            r = buf[:(stop - start) * (n - split)].reshape(stop - start, n - split)
+            np.subtract(f[split:], f[start:stop, None], out=r)
+            np.reciprocal(r, out=r)
+            if power == 2:
+                np.square(r, out=r)
+            upper += scale * np.vdot(U[start:stop], r @ V[split:])
+        d = f[start + 1:split] - f[start:stop, None]
         d[d <= 0] = np.inf
-        x = s[start + 1:] * c[start:stop, None] - c[start + 1:] * s[start:stop, None]
+        x = s[start + 1:split] * c[start:stop, None] - c[start + 1:split] * s[start:stop, None]
         near = d < cut
         x[near] = np.sin(theta * d[near])
-        upper += np.vdot(B[start:stop], kernel(x, d) @ B[start + 1:])
+        upper += np.vdot(B[start:stop], kernel(x, d) @ B[start + 1:split])
     return float(k0 * (B * B).sum() + 2.0 * upper)
 
 

@@ -90,7 +90,12 @@ def _convolve_round(cur: np.ndarray, M: int, size: int, dtype: np.dtype,
                     cap: np.dtype) -> np.ndarray | None:
     """new[m d] += cur[m] for d <= M and m d <= size, in dtype or else cap.
 
-    Output blocks of _BLOCK entries keep the strided writes in cache.  Every
+    Output blocks keep the strided writes in cache.  A block [lo, hi) takes
+    only the d >= lo / top, each add writing at most (hi - lo) / d entries,
+    so a block runs to max(_BLOCK, 4096 (lo // top)) entries: when the adds
+    of fixed blocks would get short, the block grows and its first d still
+    writes about 4096 entries, so the count of Python-level adds no longer
+    grows like M times the block count.  Every
     entry is a sum of non-negative terms and an integer add wraps modulo
     2^bits, so a stored entry equals its true value when that fits and is
     below it otherwise.  A block is therefore exact when its int64 sum
@@ -104,8 +109,9 @@ def _convolve_round(cur: np.ndarray, M: int, size: int, dtype: np.dtype,
     checked = dtype != cap and 8 * top <= (cap.itemsize - dtype.itemsize) * size
     prefix = np.cumsum(cur, dtype=np.int64) if checked else None
     new = np.zeros(size + 1, dtype=dtype if checked else cap)
-    for lo in range(0, size + 1, _BLOCK):
-        hi = min(lo + _BLOCK, size + 1)
+    lo = 0
+    while lo <= size:
+        hi = min(lo + max(_BLOCK, 4096 * (lo // top)), size + 1)
         ds = range(max(1, -(-lo // top)), min(M, hi - 1) + 1)
         for d in ds:
             m0, m1 = max(1, -(-lo // d)), min(top, (hi - 1) // d)
@@ -116,6 +122,7 @@ def _convolve_round(cur: np.ndarray, M: int, size: int, dtype: np.dtype,
             count = sum((prefix[m1] - prefix[m0 - 1]).tolist())
             if int(new[lo:hi].sum(dtype=np.int64)) != count:
                 return None
+        lo = hi
     return new
 
 

@@ -238,6 +238,45 @@ def _ladder(q):
     return validate_instance([1.0 / (1 + i) for i in range(len(phis))], phis)
 
 
+def _far_threshold(f, theta, power):
+    """The form's d_far = max(cut, c_p / theta), c_p = (3 p eps / 4e-14)^(1/p)."""
+    eps = np.finfo(np.float64).eps
+    cut = 4 * power * eps * (np.abs(f).max() + 2 / theta) / 1e-13
+    return max(cut, (3 * power * eps / 4e-14) ** (1 / power) / theta)
+
+
+def _straddle(T, power, reach=3.0):
+    """Modes on [-reach, reach] with gaps 1e-6 relative on each side of the
+    d_far of one kernel (theta = T, p = 1 or theta = T/2, p = 2)."""
+    theta = T if power == 1 else T / 2
+    far = _far_threshold(np.array([reach]), theta, power)
+    base = [-reach, -1.0, 0.5, reach]
+    phis = base + [f + k * far * (1 + side) for f in base[:3] for k in (1, 2)
+                   for side in (-1e-6, 1e-6)]
+    inst = validate_instance([1.0 / (1 + i % 5) for i in range(len(phis))], sorted(phis))
+    exp = expand(inst, 1)
+    gaps = np.subtract.outer(exp.freqs, exp.freqs)
+    assert np.any((gaps < far) & (gaps > far * (1 - 1e-5)))
+    assert np.any((gaps >= far) & (gaps < far * (1 + 1e-5)))
+    return exp
+
+
+def _far_field_cases():
+    rng = np.random.default_rng(3101)
+    # T = 1: Fejer's d_far is c_2/theta, past its cut; the window's is its
+    # cut.  T = 100: both are their cuts.
+    for T in (1.0, 100.0):
+        for power in (1, 2):
+            yield _straddle(T, power), T, float(rng.uniform(-5.0, 5.0))
+    for phis in ([1.5], [0.0, 2.0], [-0.001, 0.0], [-3.0, 0.01, 4.0]):
+        exp = expand(validate_instance([0.8, 0.5, 0.3][:len(phis)], phis), 1)
+        for T in (0.01, 3.0, 1e4):
+            yield exp, T, float(rng.uniform(-5.0, 5.0))
+    exp = expand(zeta_instance(60), 2)  # 1116 modes, 4-9 % of pairs near
+    for T in (1e2, 1e4):
+        yield exp, T, 0.0
+
+
 def _angle_addition_cases():
     rng = np.random.default_rng(1701)
     for q in (1, 2):
@@ -255,13 +294,21 @@ def _angle_addition_cases():
         for T in (3.0, 1e4):
             yield exp, T, float(rng.uniform(-5.0, 5.0))
     yield expand(zeta_instance(40), 2), 1e4, 0.0
+    yield from _far_field_cases()
 
 
-@pytest.mark.parametrize("rows", [1, None])
+@pytest.mark.parametrize("rows", [1, 3, None])
 def test_angle_addition_matches_full_square(monkeypatch, rows):
     # Every pair with d >= cut takes angle addition and every closer pair the
-    # direct sin.  rows = 1: one-row blocks; None: the default blocks, where
-    # the 12-mode ladder is a single block with gaps on both sides of the cut.
+    # direct sin; each row block sums the columns past d_far of its last row
+    # as Cauchy products.  rows = 1: one-row blocks, each split at its own
+    # row's threshold; rows = 3: splits on block edges; None: the default
+    # blocks, where the 12-mode ladder is a single block with gaps on both
+    # sides of the cut, and so is every form of at most 256 modes.
+    far_calls = []
+    far_columns = spectral._far_columns
+    monkeypatch.setattr(spectral, "_far_columns",
+                        lambda *a: (far_calls.append(a[0].shape[0]), far_columns(*a))[1])
     for exp, T, shift in _angle_addition_cases():
         n = exp.freqs.size
         if rows is not None:
@@ -271,6 +318,8 @@ def test_angle_addition_matches_full_square(monkeypatch, rows):
         norm = _limit_moment(exp)
         for value, direct, k0 in zip(values, _square_forms(exp, T, shift), (2 * T, T)):
             assert abs(value - direct) <= 1e-13 * k0 * norm, (n, T)
+    # Mode counts of forms that took the far field.
+    assert {1116} | {1: {2, 3, 16}, 3: {16}, None: set()}[rows] <= set(far_calls)
 
 
 @pytest.mark.parametrize("N, T", [(20, 1e4), (60, 1e4), (100, 1e5)])

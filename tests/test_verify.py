@@ -422,6 +422,31 @@ def test_auto_engine_choice():
             "quadrature", "constant_modulus")
 
 
+# The engine of each side of the 150 reports of `verify all --random 25
+# --seed 42`, one word per report: s spectral, q quadrature, c closed form.
+_CAMPAIGN_ENGINES = {
+    "theorem1": "s q s s q q s q s s s s s s q s s q s s s q s s s",
+    "lemma": "ss ss ss qq ss ss ss ss ss ss qq ss ss ss ss ss ss ss qq ss ss ss ss ss"
+             " qq",
+    "eq45": " ".join(["ss"] * 25),
+    "sup-chain": " ".join(["c"] * 25),
+    "ingham": " ".join(["c"] * 25),
+    "bohr": " ".join(["c"] * 25),
+}
+
+
+def test_campaign_engine_split_is_pinned():
+    """auto's split on the benchmark campaign moves only with its prices,
+    not with the speed of an engine."""
+    assert set(_CAMPAIGN_ENGINES) == set(verify.CAMPAIGN_CHECKS)
+    codes = {"spectral": "s", "quadrature": "q", "closed_form": "c"}
+    for check, pinned in _CAMPAIGN_ENGINES.items():
+        words = ["".join(codes[rep.method[side]] for side in ("engine", "rhs_engine")
+                         if side in rep.method)
+                 for _, rep in verify.campaign(check, 25, 42)]
+        assert " ".join(words) == pinned, check
+
+
 def test_auto_avoids_the_spectral_budget():
     # 150 random integer frequencies: S^2 has 11,311 modes, past the term
     # budget's 1e4, while the window needs about 300 panels.

@@ -100,6 +100,51 @@ def test_table_takes_the_width_of_its_own_values(n, nu, dtype):
         assert np.array_equal(table.b, _naive_indicator_power(n, nu, None))
 
 
+class _CountingSlices(np.ndarray):
+    """An array that counts its slice reads: one per add in _convolve_round."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            _CountingSlices.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n, nu, limit", [(200, 2, None), (40, 3, None),
+                                          (12, 4, None), (50, 3, 20000)])
+def test_growing_blocks_match_fixed_blocks(monkeypatch, n, nu, limit):
+    # At 64 entries a block, every round here runs past lo = top, where the
+    # blocks grow to 4096 (lo // top) entries.  The table must equal the one
+    # from a single fixed block, the whole-table convolution and the tuple
+    # counts, and the last round must take far fewer adds than fixed blocks.
+    monkeypatch.setattr(zeta, "_BLOCK", 2 ** 40)
+    fixed = power_coefficients(n, nu, limit=limit).b
+    monkeypatch.setattr(zeta, "_BLOCK", 64)
+    convolve = zeta._convolve_round
+    adds = []
+
+    def spy(cur, M, size, dtype, cap):
+        _CountingSlices.reads = 0
+        new = convolve(cur.view(_CountingSlices), M, size, dtype, cap)
+        adds.append((cur.size - 1, M, size, _CountingSlices.reads))
+        return new
+
+    monkeypatch.setattr(zeta, "_convolve_round", spy)
+    grown = power_coefficients(n, nu, limit=limit).b
+    assert grown.dtype == fixed.dtype and np.array_equal(grown, fixed)
+    assert np.array_equal(grown, _naive_indicator_power(n, nu, limit))
+    size = grown.size - 1
+    counts = collections.Counter(math.prod(t) for t in itertools.product(
+        range(1, n + 1), repeat=nu) if math.prod(t) <= size)
+    assert grown.tolist() == [0] + [counts[m] for m in range(1, size + 1)]
+    top, M, size, reads = adds[-1]
+    fixed_adds = sum(min(M, hi - 1) - max(1, -(-lo // top)) + 1
+                     for lo in range(0, size + 1, 64)
+                     for hi in [min(lo + 64, size + 1)])
+    assert reads < fixed_adds / 4
+
+
 def test_a_wrap_in_a_late_block_moves_the_round_up(monkeypatch):
     # b_8 for N = 6 first passes int16 at m = 4320, in block 67 of the last
     # round at 64 entries a block; that block must send the round to int32.
