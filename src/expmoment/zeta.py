@@ -20,8 +20,8 @@ from .verify import THEOREM_CONSTANT, VerificationReport, _window_bound
 DEFAULT_ENTRY_BUDGET = 10 ** 8
 _BLOCK = 1 << 18  # output entries per block of the b_m convolution
 _WIDTHS = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64))
-_WHEEL = {2: 4, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1}  # p: e
-_PERIOD = math.prod(p ** e for p, e in _WHEEL.items())  # 720,720
+_ODD_WHEEL = {3: 2, 5: 1, 7: 1, 11: 1, 13: 1}  # p: e
+_ODD_PERIOD = math.prod(p ** e for p, e in _ODD_WHEEL.items())  # 45,045
 
 
 @dataclass(frozen=True)
@@ -183,40 +183,45 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
-def _raise_powers(d: np.ndarray, p: int, k: int, last: float, nu: int) -> None:
-    """For k <= j <= last and p^j < d.size, raise the factor of the multiples
-    of p^j in d (index m stands for m) from d_nu(p^{j-1}) to d_nu(p^j)."""
+def _raise_odd_powers(o: np.ndarray, p: int, k: int, last: float,
+                      nu: int) -> None:
+    """For k <= j <= last and p^j < 2 o.size, raise the factor of the odd
+    multiples of p^j in o (index i stands for 2i + 1) from d_nu(p^{j-1}) to
+    d_nu(p^j).  The odd multiples of an odd p^j are o[(p^j - 1) / 2::p^j]."""
     pk = p ** k
-    while pk < d.size and k <= last:
+    while pk // 2 < o.size and k <= last:
         old, new = math.comb(k + nu - 2, nu - 1), math.comb(k + nu - 1, nu - 1)
         if old != 1:
-            d[pk::pk] //= old
+            o[pk // 2::pk] //= old
         if new != old:
-            d[pk::pk] *= new
+            o[pk // 2::pk] *= new
         pk, k = pk * p, k + 1
 
 
 def divisor_table(x: int, nu: int) -> DivisorTable:
     """Sieve d_nu(m) for m <= x, exact integers.
 
-    d_nu is multiplicative with d_nu(p^k) = C(k + nu - 1, nu - 1), in three
-    exact steps:
+    d_nu is multiplicative with d_nu(p^k) = C(k + nu - 1, nu - 1).  Steps
+    1-3 sieve only odd m, in the view o = d[1::2] (o[i] stands for 2i + 1),
+    and step 4 fills the even m from them:
 
-    1. Wheel.  Up to exponent e, the factor of m from each p^e of
-       _WHEEL = 2^4 3^2 5 7 11 13 depends only on m mod 720,720, which p^e
-       divides.  It is built once over residues 1..min(720720, x), the last
-       standing for residue 0, and copied forward over the table.
-    2. Small primes.  Each prime p <= sqrt(x) raises the factor of the
-       multiples of p^k from d_nu(p^{k-1}) to d_nu(p^k), a wheel prime from
-       its next power p^{e+1} on.  Now d[m] is d_nu of the largest divisor
-       of m with every prime <= sqrt(x) or in the wheel.
+    1. Odd wheel.  Up to exponent e, the factor of odd m from each p^e of
+       _ODD_WHEEL = 3^2 5 7 11 13 depends only on m mod 45,045, so on
+       i mod 45,045.  It is built once over o[:45045] (m = 1..90,089) and
+       copied forward over o.
+    2. Small primes.  Each odd prime p <= sqrt(x) raises the factor of the
+       odd multiples of p^k from d_nu(p^{k-1}) to d_nu(p^k), a wheel prime
+       from its next power p^{e+1} on.  Now o[i] is d_nu of the largest
+       divisor of 2i + 1 with every prime <= sqrt(x) or in the wheel.
     3. Large primes.  For nu >= 2 each of those primes adds a factor >= 2,
-       so for m > sqrt(x), d[m] == 1 exactly when m is a prime above sqrt(x)
-       outside the wheel, so odd: only the primes up to sqrt(x) are sieved,
-       and only the odd entries are read.  Such a p divides m <= x at most
-       once, with cofactor j < sqrt(x), and step 2 left d[p j] = d_nu(j); so
-       d[p j] = nu d[j], one constant scatter per j.  For nu = 1 every factor
-       is 1.
+       so for odd m > sqrt(x), o == 1 exactly when m is a prime above
+       sqrt(x) outside the wheel.  Such a p divides m <= x at most once,
+       with cofactor j < sqrt(x), and step 2 left d[p j] = d_nu(j); so
+       d[p j] = nu d[j], one constant scatter per odd j.  For nu = 1 every
+       factor is 1.
+    4. Evens.  m = 2^k o with o odd has d_nu(m) = d_nu(2^k) d_nu(o), so
+       d[2^k::2^{k+1}] is C(k + nu - 1, nu - 1) times o[:n_k], written in
+       place.  The product is d_nu(m) itself, so it fits the table's dtype.
 
     Raises OverflowRangeError when max_{m<=x} d_nu(m) exceeds int64, else
     sieves in and returns _table_dtype(x, nu): every intermediate d[m] is
@@ -231,23 +236,27 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
             f"table of {x} entries exceeds budget {DEFAULT_ENTRY_BUDGET}")
     d = np.empty(x + 1, dtype=_table_dtype(x, nu))
     d[0] = 0
-    period = min(_PERIOD, x)
-    d[1:period + 1] = 1
-    for p, e in _WHEEL.items():
-        _raise_powers(d[:period + 1], p, 1, e, nu)
-    for start in range(period + 1, x + 1, period):
-        n = min(period, x + 1 - start)
-        d[start:start + n] = d[1:n + 1]
+    o = d[1::2]
+    period = min(_ODD_PERIOD, o.size)
+    o[:period] = 1
+    for p, e in _ODD_WHEEL.items():
+        _raise_odd_powers(o[:period], p, 1, e, nu)
+    for start in range(period, o.size, period):
+        n = min(period, o.size - start)
+        o[start:start + n] = o[:n]
     root = math.isqrt(x)
-    for p in _primes_upto(root).tolist():
-        _raise_powers(d, p, _WHEEL.get(p, 0) + 1, math.inf, nu)
+    for p in _primes_upto(root)[1:].tolist():
+        _raise_odd_powers(o, p, _ODD_WHEEL.get(p, 0) + 1, math.inf, nu)
     if nu > 1:
-        odd = (root + 1) | 1
-        large = odd + 2 * np.flatnonzero(d[odd::2] == 1)
-        counts = np.searchsorted(large, x // np.arange(1, x // (root + 1) + 1),
-                                 side="right")
-        for j, count in enumerate(counts.tolist(), 1):
-            d[::j][large[:count]] = nu * int(d[j])
+        first = (root + 1) // 2  # o[first] is the first odd m > sqrt(x)
+        large = first + np.flatnonzero(o[first:] == 1)  # (p - 1) / 2
+        js = np.arange(1, x // (root + 1) + 1, 2)
+        counts = np.searchsorted(large, (x // js - 1) // 2, side="right")
+        for j, count in zip(js.tolist(), counts.tolist()):
+            o[j // 2::j][large[:count]] = nu * int(o[j // 2])
+    for k in range(1, x.bit_length()):
+        evens = d[1 << k::2 << k]
+        np.multiply(o[:evens.size], math.comb(k + nu - 1, nu - 1), out=evens)
     return DivisorTable(nu, x, d)
 
 
@@ -277,8 +286,7 @@ def divisor_sum(x: int, nu: int) -> float:
 def coefficient_square_sum(table: CoefficientTable,
                            upto: int | None = None) -> float:
     """sum_{m<=upto} b_m^2 / m over the coefficient table."""
-    if upto is None:
-        upto = table.limit
+    upto = table.limit if upto is None else _as_int("upto", upto)
     if upto < 0:
         raise ValueError(f"square sum needs an upper limit >= 0, got {upto}")
     if upto > table.limit:

@@ -227,6 +227,15 @@ def test_power_coefficients_integral_float_sizes():
         power_coefficients(10.5, 3)
 
 
+def test_coefficient_square_sum_integral_float_upto():
+    table = power_coefficients(10, 2)
+    want = coefficient_square_sum(table, 50)
+    assert coefficient_square_sum(table, 50.0) == want
+    assert coefficient_square_sum(table, np.int64(50)) == want
+    with pytest.raises(ValueError, match="upto must be an integer"):
+        coefficient_square_sum(table, 50.5)
+
+
 def test_growth_fit_integral_float_xs():
     fit = growth_fit(2, xs=[1e3, np.int64(10 ** 4), 1e5])
     assert fit["xs"] == [1000, 10000, 100000]
@@ -344,21 +353,16 @@ def _naive_divisor_tables(x, nus):
     return d
 
 
-def test_divisor_table_across_the_wheel_period():
-    # Past 720,720 entries the wheel factors are copied forward a period at
-    # a time.  At one period, one entry either side of it and past two
-    # periods, every table equals the plain sieve in its values and in the
-    # narrowest dtype holding its max.
-    period = 720720
-    xs = (period - 1, period, period + 1, 2 * period + 1)
+def _first_nu_past(x, dtype):
+    nu = 2
+    while _max_divisor_count(x, nu) <= np.iinfo(dtype).max:
+        nu += 1
+    return nu
 
-    def first_nu_past(dtype):
-        nu = 2
-        while _max_divisor_count(xs[0], nu) <= np.iinfo(dtype).max:
-            nu += 1
-        return nu
 
-    nus = (2, 3, first_nu_past(np.int16), first_nu_past(np.int32))
+def _assert_tables_match_naive(xs, nus):
+    """Every divisor_table(x, nu) equals the plain sieve, values and the
+    narrowest dtype holding its max, and the tables take all three widths."""
     dtypes = set()
     for nu, want in zip(nus, _naive_divisor_tables(max(xs), nus)):
         for x in xs:
@@ -367,6 +371,24 @@ def test_divisor_table_across_the_wheel_period():
             assert np.array_equal(table.d, want[:x + 1])
             dtypes.add(table.d.dtype)
     assert dtypes == {np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)}
+
+
+def test_divisor_table_across_the_wheel_period():
+    # The odd wheel covers o[:45045], m = 1..90,089, and is copied forward
+    # a period at a time.  At the period's last m, one entry either side of
+    # it and past two periods, every table equals the plain sieve.
+    period = 2 * 45045
+    xs = (period - 1, period, period + 1, 2 * period + 1)
+    _assert_tables_match_naive(xs, (1, 2, 3, _first_nu_past(xs[0], np.int16),
+                                    _first_nu_past(xs[0], np.int32)))
+
+
+def test_divisor_table_around_powers_of_two():
+    # The evens are filled one power of two at a time: 2^k - 1, 2^k and
+    # 2^k + 1 put the last of them on each side of a new k.
+    xs = sorted({2 ** k + s for k in range(1, 18) for s in (-1, 0, 1)})
+    _assert_tables_match_naive(xs, (1, 2, 3, _first_nu_past(xs[-1], np.int16),
+                                    _first_nu_past(xs[-1], np.int32)))
 
 
 def test_max_divisor_count_matches_scan():
@@ -439,6 +461,21 @@ def test_one_pass_sums_equal_single_sums():
     d = divisor_table(max(uptos), 2).d
     assert _weighted_square_sums(d, uptos) == [
         _weighted_square_sums(d, [upto])[0] for upto in uptos]
+
+
+def test_divisor_sums_are_pinned():
+    # Pinned to the last bit, so that a change to the sieve cannot move them
+    # silently.
+    assert divisor_sum(10 ** 6, 2) == 2083.021405218094
+    assert divisor_sum(10 ** 5, 3) == 78723.99408657236
+    xs = [100, 193, 372, 719, 1389, 2682, 5179, 10000, 19306, 37275, 71968,
+          138949, 268269, 517947, 1000000]
+    assert growth_fit(2, xs)["sums"] == [
+        76.87714630948298, 109.75512807105375, 152.2320192133453,
+        205.25103414624243, 272.12811263284647, 352.7892807338741,
+        449.95002870419887, 565.6464099580035, 701.6273634419947,
+        860.5134902732228, 1044.4595797526663, 1256.0529093034775,
+        1497.8662552898181, 1772.5847152327653, 2083.021405218094]
 
 
 def test_coefficient_chain_inequality():
