@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks passed, 2 invalid input, 3 quadrature
-did not converge, 4 term or table budget exceeded, 5 an inequality check
-failed or the engines of ``moment --engine both`` disagreed (either signals
-an artifact bug, not a counterexample).
+did not converge, 4 a size budget exceeded (TermBudgetExceededError), 5 an
+inequality check failed or the engines of ``moment --engine both`` disagreed
+(either signals an artifact bug, not a counterexample).
 """
 from __future__ import annotations
 
@@ -17,12 +17,10 @@ import numpy as np
 
 from . import spectral, verify, zeta
 from .core import (
-    BudgetExceededError,
     ExpMomentError,
     Instance,
     NotConvergedError,
     TermBudgetExceededError,
-    TooManySignsError,
     Window,
     dominated_coefficients,
     validate_instance,
@@ -174,7 +172,7 @@ def cmd_plotdata(args) -> int:
     if args.points < 1:
         raise ExpMomentError("need at least one grid point")
     if args.points * instance.size > spectral.DEFAULT_TERM_BUDGET:
-        raise BudgetExceededError(
+        raise TermBudgetExceededError(
             f"{args.points} points x {instance.size} terms exceed budget "
             f"{spectral.DEFAULT_TERM_BUDGET}")
     ts = np.linspace(args.tmin, args.tmax, args.points)
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
     except NotConvergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except (TermBudgetExceededError, TooManySignsError, BudgetExceededError) as exc:
+    except TermBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ExpMomentError, OSError, ValueError) as exc:

@@ -5,10 +5,10 @@ All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -59,11 +59,8 @@ class NotConvergedError(ExpMomentError):
 
 
 class TermBudgetExceededError(ExpMomentError):
-    """The multi-index pair count exceeds the exact-engine budget."""
-
-
-class TooManySignsError(ExpMomentError):
-    pass
+    """A request past a size budget: spectral mode pairs, zeta table entries,
+    plotdata grid points times terms, or exhaustive sign vectors."""
 
 
 class NotIntegerError(ExpMomentError):
@@ -78,16 +75,13 @@ class DegenerateCosineError(ExpMomentError):
     pass
 
 
-class BudgetExceededError(ExpMomentError):
-    pass
-
-
 # --------------------------------------------------------------------------
 # Types
 # --------------------------------------------------------------------------
 
 #: Relative tolerance for the |c_n| <= a_n domination check; absorbs
-#: construction-time float noise.
+#: construction-time float noise.  Two ulps of 0 more absorb it at subnormal
+#: a_n, where rounding is absolute.
 DOMINATION_RTOL = 1e-12
 
 #: Engines must agree this well whenever both ran; worse is a hard failure
@@ -154,7 +148,9 @@ class ComplexCoefficients:
 
 @dataclass(frozen=True)
 class Window:
-    """Integration window: |t - center| <= half_width."""
+    """Integration window: |t - center| <= half_width, with half_width a
+    normal double (>= 2^-1022): at subnormal ones T/2 and the engines'
+    products with T lose relative precision."""
 
     center: float
     half_width: float
@@ -162,8 +158,8 @@ class Window:
     def __post_init__(self):
         if not (math.isfinite(self.center) and math.isfinite(self.half_width)):
             raise NonFiniteError("window parameters must be finite")
-        if self.half_width <= 0:
-            raise NonFiniteError("window half_width must be > 0")
+        if self.half_width < sys.float_info.min:
+            raise NonFiniteError("window half_width must be >= 2^-1022")
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,8 @@ def validate_order(q: int) -> int:
 
 def dominated_coefficients(values: Iterable[complex],
                            dominating: Instance) -> ComplexCoefficients:
-    """Build ComplexCoefficients, enforcing |c_n| <= a_n up to DOMINATION_RTOL."""
+    """Build ComplexCoefficients, enforcing |c_n| <= a_n (1 + DOMINATION_RTOL)
+    + 2 ulp(0)."""
     vals = tuple(complex(v) for v in values)
     if len(vals) != dominating.size:
         raise LengthMismatchError(
@@ -220,7 +217,7 @@ def dominated_coefficients(values: Iterable[complex],
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise NonFiniteError(f"non-finite coefficient {v!r}")
     for v, a in zip(vals, dominating.amplitudes):
-        if abs(v) > a * (1.0 + DOMINATION_RTOL):
+        if abs(v) > a * (1.0 + DOMINATION_RTOL) + 2 * math.ulp(0.0):
             raise DominationError(f"|{v!r}| = {abs(v)!r} > amplitude {a!r}")
     return ComplexCoefficients(vals, dominating)
 

@@ -11,6 +11,7 @@ needs, holds either way.)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,8 @@ from .core import NonFiniteError
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Half-width T > 0 and center shift H of the triangular kernel."""
+    """Half-width T >= 2^-1022 (normal, as for Window) and center shift H of
+    the triangular kernel."""
 
     T: float
     H: float = 0.0
@@ -28,8 +30,8 @@ class KernelParams:
     def __post_init__(self):
         if not (math.isfinite(self.T) and math.isfinite(self.H)):
             raise NonFiniteError("kernel parameters must be finite")
-        if self.T <= 0:
-            raise NonFiniteError("kernel half-width T must be > 0")
+        if self.T < sys.float_info.min:
+            raise NonFiniteError("kernel half-width T must be >= 2^-1022")
 
 
 def kernel_value(params: KernelParams, t):

@@ -157,12 +157,13 @@ def _panels_needed(ys: np.ndarray, log_my: np.ndarray, half: float,
     left by the other factors is read off the chord of log M through the
     grid (ys, log_my).  log M is convex, so the chord lies above it and the
     y it gives is admissible; the weight is taken at h = half, where it is
-    largest.  Returns inf when no grid point meets the tolerance.
+    largest.  Returns inf when no grid point meets the tolerance, and at
+    least 1 when half / widest underflows.
     """
     budget = log_tol - _LOG_GAUSS_FACTOR - np.log(weight(half, _RHOS))
     heights = np.where(budget >= log_my[0], np.interp(budget, log_my, ys), 0.0)
     widest = float(np.max(2 * heights / (_RHOS - 1 / _RHOS)))
-    return math.ceil(half / widest) if widest > 0 else math.inf
+    return max(1, math.ceil(half / widest)) if widest > 0 else math.inf
 
 
 def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
@@ -181,9 +182,13 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     amplitudes.  As |value| <= scale, a capped bound past (rel_tol + 1e-15)
     * scale cannot pass and is refused before evaluating, with value nan; a
     bound past the double range is reported as inf.  A constant |S| is
-    exact with no panels: |S|^{2q} * mass, bound 0.
+    exact with no panels: |S|^{2q} * mass, bound 0.  Amplitudes and phases
+    out of range are refused first, for the reach max(|lo|, |lo + 2 pieces
+    half|) of the pieces and the kernel's mass.
     Returns (integral / norm, bound / norm, metadata).
     """
+    _check_overflow(source, 2 * q, mass)
+    _check_phase_range(source.frequencies, q, max(abs(lo), abs(lo + 2 * pieces * half)))
     if (modulus := _constant_modulus(source)) is not None:
         return modulus ** (2 * q) * (mass / norm), 0.0, {
             "panels": 0, "points": 0, "constant": True, "error_kind": "truncation_bound"}
@@ -236,8 +241,6 @@ def windowed_average(source: Instance | ComplexCoefficients, q: int,
     """(1/2T) * integral of |S(t)|^{2q} over |t - center| <= T."""
     q = validate_order(q)
     T = window.half_width
-    _check_overflow(source, 2 * q, 2 * T)
-    _check_phase_range(source.frequencies, q, abs(window.center) + T)
     # sum over the panels of h is T.
     value, bound, meta = _gauss_rule(lambda ts: power_on_array(source, ts, q),
                                      source, q, window.center - T, 1, T,
@@ -257,8 +260,6 @@ def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,
     """
     q = validate_order(q)
     T, H = params.T, params.H
-    _check_overflow(source, 2 * q, T)
-    _check_phase_range(source.frequencies, q, abs(H) + T)
 
     def f(ts: Grid) -> np.ndarray:
         return kernel_value(params, ts.points()) * power_on_array(source, ts, q)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import NonFiniteError, TooManySignsError, validate_order
+from .core import NonFiniteError, TermBudgetExceededError, validate_order
 from .evaluate import _check_overflow
 
 _MAX_EXHAUSTIVE = 24
@@ -71,7 +71,7 @@ def exhaustive_moment(values, q: int) -> float:
     z = _as_complex(values, q)
     n = z.size
     if n > _MAX_EXHAUSTIVE:
-        raise TooManySignsError(f"2^{n} sign vectors is too many (max N={_MAX_EXHAUSTIVE})")
+        raise TermBudgetExceededError(f"2^{n} sign vectors exceed budget 2^{_MAX_EXHAUSTIVE}")
     left, right = _signed_sums(z[:n // 2]), _signed_sums(z[n // 2:])
     rows = max(1, _SIGN_CHUNK // right.size)
     partials = []

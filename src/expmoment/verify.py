@@ -213,16 +213,17 @@ def check_eq45(coeffs: ComplexCoefficients, q: int, half_width: float,
                       T=half_width, H=shift)
 
 
-def _sup_abs(instance: Instance) -> float:
+def _sup_abs(instance: Instance, mass: float = 1.0) -> float:
     """sup |S| over any window that contains 0: S(0) = sum a_n, exactly.
 
     For a_n >= 0, |S(t)| <= sum |a_n| = sum a_n = S(0).  An Instance built
-    directly is not validated, so a negative a_n is refused here.
+    directly is not validated, so a negative a_n is refused here, and so is
+    a sum whose product with mass leaves the range of _check_overflow.
     """
     if any(a < 0 for a in instance.amplitudes):
         raise NegativeAmplitudeError(
             f"sup |S| = S(0) needs a_n >= 0, got {instance.amplitudes!r}")
-    _check_overflow(instance, 1)
+    _check_overflow(instance, 1, mass)
     return instance.amplitude_sum()
 
 
@@ -331,8 +332,7 @@ def check_bohr_bound(instance: Instance, index: int) -> VerificationReport:
     if not math.isfinite(t_max):
         raise OverflowRangeError(
             f"t_max = {t_max!r} is out of range; rescale the frequencies")
-    sup_s = _sup_abs(instance)
-    _check_overflow(instance, 1, 1 / product)  # rhs = sup|S| / product
+    sup_s = _sup_abs(instance, 1 / product)  # rhs = sup|S| / product
     lhs = instance.amplitudes[n - 1]
     rhs = sup_s / product
     meta = {"engine": "closed_form", "index": n, "cos_product": product,

@@ -10,14 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BudgetExceededError,
     Instance,
     OverflowRangeError,
+    TermBudgetExceededError,
     validate_order,
 )
+from .spectral import DEFAULT_TERM_BUDGET
 from .verify import THEOREM_CONSTANT, VerificationReport, _window_bound
 
-DEFAULT_ENTRY_BUDGET = 10 ** 8
 _BLOCK = 1 << 18  # output entries per block of the b_m convolution
 _WIDTHS = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64))
 _ODD_WHEEL = {3: 2, 5: 1, 7: 1, 11: 1, 13: 1}  # p: e
@@ -166,9 +166,9 @@ def power_coefficients(N: int, nu: int, limit: int | None = None) -> Coefficient
             raise ValueError(f"limit must be >= 1, got {limit}")
     full = N ** nu
     limit = full if limit is None else min(limit, full)
-    if limit > DEFAULT_ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"table of {limit} entries exceeds budget {DEFAULT_ENTRY_BUDGET}")
+    if limit > DEFAULT_TERM_BUDGET:
+        raise TermBudgetExceededError(
+            f"table of {limit} entries exceeds budget {DEFAULT_TERM_BUDGET}")
     return CoefficientTable(nu, N, limit, _indicator_power(
         min(N, limit), nu, limit, _table_dtype(limit, nu)))
 
@@ -231,9 +231,9 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
     x = _as_int("x", x)
     if x < 1:
         raise ValueError("x must be >= 1")
-    if x > DEFAULT_ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"table of {x} entries exceeds budget {DEFAULT_ENTRY_BUDGET}")
+    if x > DEFAULT_TERM_BUDGET:
+        raise TermBudgetExceededError(
+            f"table of {x} entries exceeds budget {DEFAULT_TERM_BUDGET}")
     d = np.empty(x + 1, dtype=_table_dtype(x, nu))
     d[0] = 0
     o = d[1::2]
@@ -287,10 +287,8 @@ def coefficient_square_sum(table: CoefficientTable,
                            upto: int | None = None) -> float:
     """sum_{m<=upto} b_m^2 / m over the coefficient table."""
     upto = table.limit if upto is None else _as_int("upto", upto)
-    if upto < 0:
-        raise ValueError(f"square sum needs an upper limit >= 0, got {upto}")
-    if upto > table.limit:
-        raise BudgetExceededError("coefficient table does not cover the request")
+    if not 0 <= upto <= table.limit:
+        raise ValueError(f"square sum needs 0 <= upto <= {table.limit}, got {upto}")
     return _weighted_square_sums(table.b, [upto])[0]
 
 

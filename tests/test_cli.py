@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from expmoment import cli, spectral
@@ -392,6 +393,28 @@ def test_moment_at_tiny_amplitudes(capsys):
     assert float(rec["quadrature"]) == pytest.approx(2.0867050455151474e-316, rel=1e-6)
 
 
+def test_quadrature_where_the_panel_ratio_underflows(capsys):
+    # half / widest panel = 1e-25 / 1e290 underflows to 0 panels, and the
+    # rule died of a ZeroDivisionError; one panel holds the average 4 exactly.
+    assert main(["moment", "--inline", "a=1,1;phi=0,1e-300", "--T", "1e-25",
+                 "--engine", "quadrature"]) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert float(rec["quadrature"]) == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem1", "--inline", "a=1,1;phi=0,1.5", "--T", "5e-324"],
+    ["moment", "--inline", "a=1,1;phi=0,1.5", "--T", "1e-315", "--engine", "spectral"],
+    ["verify", "eq45", "--inline", "a=1,1;phi=0,1.5", "--T", "5e-324"],
+])
+def test_subnormal_half_widths_are_invalid(argv, capsys):
+    # The average tends to 4 as T -> 0.  Unrefused, theorem1 passed with rhs 5,
+    # spectral printed 4.0000000049406568 and eq45 died of a ZeroDivisionError.
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "2^-1022" in err
+
+
 def _refuse_constant(name):  # json's hook for NaN, Infinity and -Infinity
     raise ValueError(f"{name} in a report line")
 
@@ -453,6 +476,24 @@ def test_moment_fold_rounding_is_invalid(capsys, T):
 
 def test_budget_exit_code(capsys):
     assert main(["zeta", "--nu", "3", "--N", "1000"]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"1000000000 entries exceeds budget {spectral.DEFAULT_TERM_BUDGET}" in err
+
+
+@pytest.mark.parametrize("engine", ["spectral", "both"])
+def test_moment_past_the_mode_pair_budget(engine, tmp_path, capsys):
+    # 200 generic frequencies: S^2 has C(201, 2) = 20,100 modes, and their
+    # 20,100^2 pairs pass the 10^8 budget shared with tables and grids.
+    wide = tmp_path / "wide.json"
+    rng = np.random.default_rng(0)
+    wide.write_text(json.dumps({"amplitudes": [1.0] * 200,
+                                "frequencies": rng.uniform(-1e3, 1e3, 200).tolist()}))
+    assert main(["moment", "--instance", str(wide), "--q", "2", "--T", "1",
+                 "--engine", engine]) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert f"20100^2 mode pairs exceed budget {spectral.DEFAULT_TERM_BUDGET}" in err
 
 
 def test_sup_chain_at_huge_window_passes(capsys):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -93,6 +94,13 @@ def test_domination_accepts_boundary_and_rejects_excess():
     dominated_coefficients([1.0 * (1 + 1e-13), 0.5], inst)
     with pytest.raises(DominationError):
         dominated_coefficients([1.1, 0.5], inst)
+    # At subnormal a_n rounding is absolute: |a e^{i theta}| may exceed a by
+    # one ulp of 0, which two ulps absorb; three ulps are still refused.
+    a = 2.2250738585e-313
+    tiny = validate_instance([a], [0.0])
+    dominated_coefficients([a * cmath.exp(1.859375j)], tiny)
+    with pytest.raises(DominationError):
+        dominated_coefficients([a + 3 * math.ulp(0.0)], tiny)
 
 
 def test_domination_length_mismatch():
@@ -105,6 +113,9 @@ def test_window_validation():
     Window(0.0, 1.0)
     with pytest.raises(NonFiniteError):
         Window(0.0, 0.0)
+    Window(0.0, 2.0 ** -1022)  # the smallest normal double
+    with pytest.raises(NonFiniteError):
+        Window(0.0, 5e-324)  # subnormal: T / 2 rounds to 0
     with pytest.raises(NonFiniteError):
         Window(math.nan, 1.0)
 

@@ -127,6 +127,8 @@ def test_sum_on_grid_matches_pointwise(inst, phases, rows, cols):
        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=4))
 @example(validate_instance([2.2250738585e-313], [1.0]), [0.0] * 8, [2.0], [1.0], [0.5])
+@example(validate_instance([2.2250738585e-313], [1.0]), [1.859375] * 8, [2.0], [1.0],
+         [0.5])  # |a e^{i theta}| rounds one ulp of 0 past a
 def test_sum_on_nested_grid_matches_pointwise(inst, phases, coarse, fine, cols):
     values = [a * cmath.exp(1j * th) for a, th in zip(inst.amplitudes, phases)]
     cc = dominated_coefficients(values, inst)

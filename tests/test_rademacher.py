@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expmoment.core import NonFiniteError, OverflowRangeError, TooManySignsError
+from expmoment.core import NonFiniteError, OverflowRangeError, TermBudgetExceededError
 from expmoment.rademacher import exact_even_moment, exhaustive_moment
 from sign_moment_oracle import sign_moment
 
@@ -71,7 +71,7 @@ def test_exact_returns_python_float():
 def test_exhaustive_trivials():
     assert exhaustive_moment([2.0 + 1.0j], 3) == pytest.approx(abs(2 + 1j) ** 6)
     assert exhaustive_moment([0.0, 0.0, 0.0], 2) == 0.0
-    with pytest.raises(TooManySignsError):
+    with pytest.raises(TermBudgetExceededError):
         exhaustive_moment([1.0] * 25, 1)
 
 
@@ -88,7 +88,7 @@ def test_exhaustive_halves_match_series_oracle(n):
 def test_too_many_signs_raises_before_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(TooManySignsError):
+        with pytest.raises(TermBudgetExceededError):
             exhaustive_moment(np.ones(25), 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

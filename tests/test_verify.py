@@ -8,7 +8,6 @@ from expmoment import verify, zeta
 from expmoment.cli import EXIT_VIOLATED, main
 from expmoment.core import (
     BadGapError,
-    BudgetExceededError,
     DegenerateCosineError,
     ExpMomentError,
     Instance,
@@ -313,6 +312,7 @@ _FLAT_PHIS = [1 - 3.2e-12 - (31 - j) * 1e-15 for j in range(31)] + [1.0]
 @pytest.mark.parametrize("call, error", [
     (lambda: KernelParams(math.nan), NonFiniteError),
     (lambda: KernelParams(0.0), NonFiniteError),
+    (lambda: KernelParams(2.0 ** -1023), NonFiniteError),
     (lambda: dominated_coefficients([math.nan, 0], _PAIR), NonFiniteError),
     (lambda: eval_sum(_PAIR, math.inf), NonFiniteError),
     (lambda: check_sup_chain(_PAIR, []), BadGapError),
@@ -352,8 +352,9 @@ _FLAT_PHIS = [1 - 3.2e-12 - (31 - j) * 1e-15 for j in range(31)] + [1.0]
     (lambda: list(verify.campaign("nope", 1, 1)), ExpMomentError),
     (lambda: check_theorem1(_PAIR, 1, 1.0, engine="nope"), ValueError),
     (lambda: zeta.coefficient_square_sum(zeta.power_coefficients(5, 2), 26),
-     BudgetExceededError),
-], ids=["kernel-nan", "kernel-zero-T", "coefficient-nan", "eval-inf-t",
+     ValueError),
+], ids=["kernel-nan", "kernel-zero-T", "kernel-subnormal-T", "coefficient-nan",
+        "eval-inf-t",
         "sup-chain-no-T", "sup-chain-2T-overflow", "sup-chain-inf-T",
         "sup-chain-nan-T", "sup-chain-zero-T", "sup-chain-negative-T",
         "ingham-N1", "ingham-gap0", "ingham-gap-nan", "ingham-gap-subnormal",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from expmoment import zeta
-from expmoment.core import BudgetExceededError, OverflowRangeError
+from expmoment.core import OverflowRangeError, TermBudgetExceededError
 from expmoment.zeta import (
     _max_divisor_count,
     _primes_upto,
@@ -246,9 +246,9 @@ def test_growth_fit_integral_float_xs():
 
 def test_budget_exceeded():
     # 10^9 entries each, past the 10^8-entry cap: refused before allocating.
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(TermBudgetExceededError):
         power_coefficients(10 ** 3, 3)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(TermBudgetExceededError):
         divisor_table(10 ** 9, 2)
 
 
