@@ -150,15 +150,14 @@ def cmd_zeta(args) -> int:
                          | {"xs": [int(x) for x in fit["xs"]]}))
         return EXIT_OK
     sweep = _parse_sweep(args.sweep) if args.sweep else [args.N]
+    # Every row first, so a refusal anywhere in the sweep leaves stdout empty.
+    reports = [zeta.corollary_lower_bound(n, args.nu, args.T) for n in sweep]
     print("N,lhs,rhs,divisor_sum,passed")
-    ok = True
-    for n in sweep:
-        rep = zeta.corollary_lower_bound(n, args.nu, args.T)
-        ok = ok and rep.passed
+    for n, rep in zip(sweep, reports):
         print(",".join([str(n), _fmt(rep.lhs), _fmt(rep.rhs),
                         _fmt(rep.method["divisor_square_sum_upto_N"]),
                         str(rep.passed)]))
-    return EXIT_OK if ok else EXIT_VIOLATED
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATED
 
 
 # --------------------------------------------------------------------------
@@ -252,15 +251,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except TermBudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ExpMomentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return {NotConvergedError: EXIT_NOT_CONVERGED,
+                TermBudgetExceededError: EXIT_BUDGET}.get(type(exc), EXIT_INVALID)
 
 
 def entry() -> None:

@@ -189,7 +189,8 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     """
     _check_overflow(source, 2 * q, mass)
     _check_phase_range(source.frequencies, q, max(abs(lo), abs(lo + 2 * pieces * half)))
-    if (modulus := _constant_modulus(source)) is not None:
+    if _constant_modulus(source):  # |S| = |sum c_n|
+        modulus = float(abs(sum(np.asarray(coefficient_values(source), dtype=complex))))
         return modulus ** (2 * q) * (mass / norm), 0.0, {
             "panels": 0, "points": 0, "constant": True, "error_kind": "truncation_bound"}
     nodes, weights = gauss_legendre()
@@ -229,11 +230,9 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     raise NotConvergedError(total / norm, bound / norm)
 
 
-def _constant_modulus(source) -> float | None:
-    """|S|, when it is constant: all frequencies equal, or every c_n = 0."""
-    if bandlimit(source, 1) == 0.0 or source.amplitude_sum() == 0.0:
-        return float(abs(sum(np.asarray(coefficient_values(source), dtype=complex))))
-    return None
+def _constant_modulus(source) -> bool:
+    """Whether |S| is constant: all frequencies equal, or every c_n = 0."""
+    return bandlimit(source, 1) == 0.0 or not any(coefficient_values(source))
 
 
 def windowed_average(source: Instance | ComplexCoefficients, q: int,

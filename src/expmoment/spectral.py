@@ -117,9 +117,11 @@ def _expand(source, q: int, exact: bool) -> SpectralExpansion:
     Accuracy and Stability of Numerical Algorithms, section 4.2): two orders
     of the same phis differ by less than q eps q max|phi|, so modes merge
     within 4 q eps max(1, q max|phi|).  metadata["fold_error"] records that
-    rounding bound, 0 for exact modes and at q = 1.
+    rounding bound, 0 for exact modes and at q = 1.  Refused first:
+    (sum |c_n|)^{2q} past 1e300, and 2 q max|phi| past the double range.
     """
     _check_overflow(source, 2 * q)
+    _check_phase_range(source.frequencies, q, 1.0)
     values = coefficient_values(source)
     phis = np.asarray(source.frequencies, dtype=np.float64)
     eps, phi_max = np.finfo(np.float64).eps, float(np.abs(phis).max())

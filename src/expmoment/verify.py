@@ -95,12 +95,13 @@ def _auto_engine(source, q: int, kernel: Window | KernelParams) -> tuple[str, di
     modes = math.comb(n + q - 1, q)
     pieces, half = ((2, kernel.T / 2) if isinstance(kernel, KernelParams)
                     else (1, kernel.half_width))
-    panels = pieces * max(1, math.ceil(half * band / _PANEL_HB))
+    ratio = half * band / _PANEL_HB  # inf only where every engine refuses the phases
+    panels = pieces * max(1, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
     spec, quad = _PAIR_COST * modes ** 2, QuadratureConfig.gauss_order * panels * n
     budget = spectral.DEFAULT_TERM_BUDGET
     if spectral.integer_mode(source, q) and min(modes, int(band) + 1) ** 2 <= budget:
         engine, reason = "spectral", "integer_mode"
-    elif _constant_modulus(source) is not None:
+    elif _constant_modulus(source):
         # Exact in _gauss_rule at any T.  Otherwise an all-zero source with
         # T * B past 13 * max_panels would go to spectral, which can fail its budget.
         engine, reason = "quadrature", "constant_modulus"
@@ -118,13 +119,11 @@ def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
     """Unnormalized integral of |S|^{2q} against a window or a Fejer kernel.
 
     The one place that resolves engine names; meta["auto"] says why auto chose.
-    Amplitudes and phases out of range are refused before any engine is chosen.
+    auto prices any finite input; the engine that runs refuses amplitudes and
+    phases outside its own range.
     """
     q = validate_order(q)
     fejer = isinstance(kernel, KernelParams)
-    _check_overflow(source, 2 * q, kernel.T if fejer else 2 * kernel.half_width)
-    _check_phase_range(source.frequencies, q, abs(kernel.H) + kernel.T if fejer
-                       else abs(kernel.center) + kernel.half_width)
     meta: dict = {}
     if engine == "auto":
         engine, meta["auto"] = _auto_engine(source, q, kernel)

@@ -46,12 +46,15 @@ class DivisorTable:
     d: np.ndarray  # _table_dtype(x, nu), index m in 0..x; d[0] unused
 
 
-def _as_int(name: str, value) -> int:
-    """An int, a numpy integer or an integral float, as an int."""
-    if isinstance(value, (int, np.integer)) or (
-            isinstance(value, (float, np.floating)) and float(value).is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _as_int(name: str, value, minimum: int | None = None) -> int:
+    """An int, a numpy integer or an integral float, as an int, refused
+    below minimum when one is given."""
+    if not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {int(value)}")
+    return int(value)
 
 
 def _max_divisor_count(x: int, nu: int) -> int:
@@ -78,7 +81,12 @@ def _max_divisor_count(x: int, nu: int) -> int:
 
 
 def _table_dtype(x: int, nu: int) -> np.dtype:
-    """Narrowest of int16 / int32 / int64 holding max_{m<=x} d_nu(m), or raise."""
+    """Narrowest of int16 / int32 / int64 holding max_{m<=x} d_nu(m).  The one
+    refusal of a table's size: x past DEFAULT_TERM_BUDGET entries, or that max
+    past int64."""
+    if x > DEFAULT_TERM_BUDGET:
+        raise TermBudgetExceededError(
+            f"table of {x} entries exceeds budget {DEFAULT_TERM_BUDGET}")
     top = _max_divisor_count(x, nu)
     if top > np.iinfo(np.int64).max:
         raise OverflowRangeError(
@@ -154,21 +162,13 @@ def power_coefficients(N: int, nu: int, limit: int | None = None) -> Coefficient
     factors of a product <= limit are themselves <= limit).  It is in the
     narrowest of int16 / int32 / int64 that its own values need, save the
     memory rule of _convolve_round.  _table_dtype(limit, nu) bounds that
-    width, as b_m <= d_nu(m), and raises past int64 before any round runs.
+    width, as b_m <= d_nu(m), and refuses limit past the table budget and
+    the width past int64 before any round runs.
     """
     nu = validate_order(nu)
-    N = _as_int("N", N)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if limit is not None:
-        limit = _as_int("limit", limit)
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
+    N = _as_int("N", N, 1)
     full = N ** nu
-    limit = full if limit is None else min(limit, full)
-    if limit > DEFAULT_TERM_BUDGET:
-        raise TermBudgetExceededError(
-            f"table of {limit} entries exceeds budget {DEFAULT_TERM_BUDGET}")
+    limit = full if limit is None else min(_as_int("limit", limit, 1), full)
     return CoefficientTable(nu, N, limit, _indicator_power(
         min(N, limit), nu, limit, _table_dtype(limit, nu)))
 
@@ -223,17 +223,12 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
        d[2^k::2^{k+1}] is C(k + nu - 1, nu - 1) times o[:n_k], written in
        place.  The product is d_nu(m) itself, so it fits the table's dtype.
 
-    Raises OverflowRangeError when max_{m<=x} d_nu(m) exceeds int64, else
-    sieves in and returns _table_dtype(x, nu): every intermediate d[m] is
+    _table_dtype(x, nu) refuses x past the table budget and max_{m<=x} d_nu(m)
+    past int64, else the sieve runs in that dtype: every intermediate d[m] is
     d_nu of a divisor of m (the divide is exact), so it never exceeds the max.
     """
     nu = validate_order(nu)
-    x = _as_int("x", x)
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if x > DEFAULT_TERM_BUDGET:
-        raise TermBudgetExceededError(
-            f"table of {x} entries exceeds budget {DEFAULT_TERM_BUDGET}")
+    x = _as_int("x", x, 1)
     d = np.empty(x + 1, dtype=_table_dtype(x, nu))
     d[0] = 0
     o = d[1::2]
@@ -331,9 +326,7 @@ def growth_fit(nu: int = 2, xs=None) -> dict:
 
 def zeta_instance(N: int) -> Instance:
     """Amplitudes n^{-1/2} and frequencies log n for n = 1..N."""
-    N = _as_int("N", N)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _as_int("N", N, 1)
     amps = tuple(1.0 / math.sqrt(n) for n in range(1, N + 1))
     phis = tuple(math.log(n) for n in range(1, N + 1))
     return Instance(amps, phis)

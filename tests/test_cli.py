@@ -23,6 +23,12 @@ from expmoment.cli import (
 )
 
 
+# The environment of a subprocess that imports the package from src/.
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture
 def two_tone(tmp_path):
     path = tmp_path / "two_tone.json"
@@ -244,10 +250,7 @@ def test_zeta_passes_import_no_lazy_numpy_module():
         "main(['zeta', '--divisor-sum-only', '--nu', '2', '--x', '1e4'])\n"
         "main(['zeta', '--nu', '2', '--sweep', '10:20:10', '--T', '1e2'])\n"
         "print(sorted({'numpy.ma', 'numpy.polynomial'} & set(sys.modules)))\n")
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", script], env=env,
+    run = subprocess.run([sys.executable, "-c", script], env=_SRC_ENV,
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == "[]"
 
@@ -476,9 +479,40 @@ def test_moment_fold_rounding_is_invalid(capsys, T):
 
 def test_budget_exit_code(capsys):
     assert main(["zeta", "--nu", "3", "--N", "1000"]) == EXIT_BUDGET
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ")
     assert f"1000000000 entries exceeds budget {spectral.DEFAULT_TERM_BUDGET}" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["zeta", "--N", "0"], EXIT_INVALID),
+    (["zeta", "--nu", "0", "--N", "5"], EXIT_INVALID),
+    (["zeta", "--nu", "2", "--N", "5", "--T", "-3"], EXIT_INVALID),
+    # N = 10 passes and N = 1000 needs 10^9 entries.
+    (["zeta", "--nu", "3", "--sweep", "10:1000:990"], EXIT_BUDGET),
+])
+def test_refused_zeta_prints_no_csv(argv, code, capsys):
+    # Every row is computed before the header, so a refusal anywhere in a
+    # sweep leaves no partial CSV.
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["zeta", "--nu", "3", "--N", "1000"], EXIT_BUDGET),
+    (["moment", "--inline", "a=1;phi=0", "--T", "1"], EXIT_OK),
+])
+def test_console_entry_exit_codes(argv, code):
+    # python -m expmoment.cli runs cli.entry, as the installed script does.
+    run = subprocess.run([sys.executable, "-m", "expmoment.cli", *argv], env=_SRC_ENV,
+                         capture_output=True, text=True)
+    assert run.returncode == code
+    if code == EXIT_OK:
+        assert json.loads(run.stdout)["engine"] and run.stderr == ""
+    else:
+        assert run.stdout == "" and run.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("engine", ["spectral", "both"])

@@ -8,6 +8,7 @@ import pytest
 from expmoment.core import (
     BadGapError,
     NotIntegerError,
+    OverflowRangeError,
     TermBudgetExceededError,
     Window,
     dominated_coefficients,
@@ -450,6 +451,17 @@ def test_wide_float_merge_is_refused():
         integral_exact(exp, Window(0.0, 10.0))
     with pytest.raises(BadGapError):
         fejer_weighted_exact(exp, KernelParams(10.0, 0.0))
+
+
+def test_expand_refuses_a_fold_past_the_double_range():
+    # 2 q max|phi| = 4e308 is inf: folded, the modes at 1e308 and 2e308 made
+    # the merge tolerance inf, and every mode merged into one at 0 with
+    # amplitude 4.
+    with pytest.raises(OverflowRangeError, match="rescale the frequencies"):
+        expand(validate_instance([1.0, 1.0], [0.0, 1e308]), 2)
+    exp = expand(validate_instance([1.0, 1.0], [0.0, 4e307]), 2)
+    assert exp.freqs.tolist() == [0.0, 4e307, 8e307]
+    assert exp.amps.tolist() == [1, 2, 1]
 
 
 # 0.1 + 0.2 and 0.30000000000000204 are 2 ulps apart: too far to merge, so

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from expmoment import verify, zeta
+from expmoment import quadrature, spectral, verify, zeta
 from expmoment.cli import EXIT_VIOLATED, main
 from expmoment.core import (
     BadGapError,
@@ -486,6 +486,59 @@ def test_auto_matches_spectral_on_the_zeta_sweep():
         exact = zeta.corollary_lower_bound(n, 2, 1e3, engine="spectral")
         assert auto.method["engine"] == "quadrature"
         assert auto.rhs == pytest.approx(exact.rhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("kernel", [Window(0.0, 1e10), KernelParams(1e10)],
+                         ids=["window", "fejer"])
+@pytest.mark.parametrize("amplitudes, phis, engine, reason", [
+    # T B / 13 is inf: past max_panels, and spectral's form refuses the phases.
+    ([1.0, 1.0], [0.0, 1e300], "spectral", "quadrature_over_max_panels"),
+    # sum a_n = 2e308 is past the double range.
+    ([1e308, 1e308], [0.0, 1.5], "spectral", "quadrature_over_max_panels"),
+    # |S| is constant, and its value 2e308 is past the double range too.
+    ([1e308, 1e308], [0.5, 0.5], "quadrature", "constant_modulus"),
+], ids=["phases", "amplitudes", "constant"])
+def test_auto_prices_any_finite_input(amplitudes, phis, engine, reason, kernel):
+    # auto chooses without raising, and the engine it chose refuses with a
+    # typed error.
+    source = validate_instance(amplitudes, phis)
+    chosen, meta = verify._auto_engine(source, 2, kernel)
+    assert (chosen, meta["reason"]) == (engine, reason)
+    with pytest.raises(OverflowRangeError):
+        verify._raw_window_integral(source, 2, kernel, "auto")
+
+
+# c = x (1, 1, -1) at phi = (0, 1, 2): S^2 = x^2 (1, 2, -1, -2, 1) at modes
+# 0..4, so spectral's form has (sum |A_k|)^2 K(0) = 49 x^4 10 = 7.8e299, while
+# quadrature's scale (sum |c_n|)^4 10 = 1.3e300 is past 1e300.
+_X = 2e74
+_CANCELLING = dominated_coefficients([_X, _X, -_X],
+                                     validate_instance([_X] * 3, [0.0, 1.0, 2.0]))
+
+
+def test_each_engine_refuses_by_its_own_range():
+    want = integral_exact(expand(_CANCELLING, 2), Window(0.0, 5.0))
+    assert want == 1.8790591773024004e+299
+    for engine in ("spectral", "auto"):
+        value, _ = verify._raw_window_integral(_CANCELLING, 2, Window(0.0, 5.0), engine)
+        assert value == want
+    for engine in ("quadrature", "both"):
+        with pytest.raises(OverflowRangeError):
+            verify._raw_window_integral(_CANCELLING, 2, Window(0.0, 5.0), engine)
+
+
+@pytest.mark.parametrize("engine, calls", [("quadrature", 1), ("spectral", 2),
+                                           ("both", 3)])
+def test_dispatcher_leaves_the_range_checks_to_the_engines(engine, calls, monkeypatch):
+    # One amplitude check per engine stage: the Gauss rule, or spectral's
+    # expansion and its form.
+    seen = []
+    for module in (quadrature, spectral, verify):
+        check = module._check_overflow
+        monkeypatch.setattr(module, "_check_overflow",
+                            lambda *args, check=check: seen.append(1) or check(*args))
+    verify._raw_window_integral(_PAIR, 2, Window(0.0, 10.0), engine)
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("q", [1, 3])

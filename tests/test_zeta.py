@@ -197,14 +197,14 @@ def test_tables_allocate_no_wide_copy():
 
 def test_nonpositive_limit_is_invalid():
     for limit in (0, -3):
-        with pytest.raises(ValueError, match="limit"):
+        with pytest.raises(ValueError, match=f"limit must be >= 1, got {limit}"):
             power_coefficients(5, 2, limit=limit)
 
 
 def test_nonpositive_size_is_invalid():
     for build in (lambda: power_coefficients(0, 2), lambda: divisor_table(0, 2),
                   lambda: zeta_instance(0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
             build()
 
 
@@ -250,6 +250,11 @@ def test_budget_exceeded():
         power_coefficients(10 ** 3, 3)
     with pytest.raises(TermBudgetExceededError):
         divisor_table(10 ** 9, 2)
+    # One entry past it, and (10^4 + 1)^2 = 100,020,001 entries.
+    with pytest.raises(TermBudgetExceededError, match="table of 100000001 entries"):
+        divisor_table(10 ** 8 + 1, 1)
+    with pytest.raises(TermBudgetExceededError, match="table of 100020001 entries"):
+        power_coefficients(10 ** 4 + 1, 2)
 
 
 def test_divisor_table_hand_cases():
