@@ -52,13 +52,16 @@ def _check_overflow(source, power: int, mass: float = 1.0) -> None:
             "rescale the amplitudes")
 
 
-def _check_phase_range(frequencies, q: int, reach: float) -> None:
+def _check_phase_range(frequencies, q: int, reach: float,
+                       what: str | None = None) -> None:
     """Raise OverflowRangeError unless 2 q max|phi_n| max(reach, 1) is finite: the
     modes of S^q lie within q max|phi_n|, so it bounds their phases at |t| <=
-    reach, their differences and every kernel argument."""
+    reach, their differences and every kernel argument.  what names
+    frequencies that are not S's own, such as the modes of S^q at q = 1."""
     if not math.isfinite(2 * q * float(max(map(abs, frequencies))) * max(reach, 1.0)):
-        raise OverflowRangeError(f"2 q max(reach, 1) max|phi| is out of range at q = "
-                                 f"{q}, reach = {reach!r}; rescale the frequencies")
+        where = f"at q = {q}" if what is None else f"for {what}"
+        raise OverflowRangeError(f"2 q max(reach, 1) max|phi| is out of range {where}, "
+                                 f"reach = {reach!r}; rescale the frequencies")
 
 
 # --------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def _form(expansion: SpectralExpansion, theta: float, power: int,
     f = expansion.freqs
     k0 = 2.0 * theta
     _check_overflow(expansion, 2, k0)
-    _check_phase_range((f[0], f[-1]), 1, reach)
+    _check_phase_range((f[0], f[-1]), 1, reach, "the mode frequencies of S^q")
     meta = expansion.metadata
     drift = meta.get("merge_width", 0.0) + meta.get("fold_error", 0.0)
     if drift * reach > ENGINE_AGREEMENT_RTOL:

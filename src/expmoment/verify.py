@@ -95,8 +95,10 @@ def _auto_engine(source, q: int, kernel: Window | KernelParams) -> tuple[str, di
     modes = math.comb(n + q - 1, q)
     pieces, half = ((2, kernel.T / 2) if isinstance(kernel, KernelParams)
                     else (1, kernel.half_width))
-    ratio = half * band / _PANEL_HB  # inf only where every engine refuses the phases
-    panels = pieces * max(1, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
+    # Every count past max_panels takes the same branch, so a huge or infinite
+    # T B / 13 is priced at max_panels + 1 panels a piece.
+    ratio = min(half * band / _PANEL_HB, QuadratureConfig.max_panels + 1)
+    panels = pieces * max(1, math.ceil(ratio))
     spec, quad = _PAIR_COST * modes ** 2, QuadratureConfig.gauss_order * panels * n
     budget = spectral.DEFAULT_TERM_BUDGET
     if spectral.integer_mode(source, q) and min(modes, int(band) + 1) ** 2 <= budget:

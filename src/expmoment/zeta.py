@@ -104,19 +104,23 @@ def _convolve_round(cur: np.ndarray, M: int, size: int, dtype: np.dtype,
     of fixed blocks would get short, the block grows and its first d still
     writes about 4096 entries, so the count of Python-level adds no longer
     grows like M times the block count.  Every
-    entry is a sum of non-negative terms and an integer add wraps modulo
-    2^bits, so a stored entry equals its true value when that fits and is
-    below it otherwise.  A block is therefore exact when its int64 sum
-    equals its exact tuple count sum_d (P[m1] - P[m0 - 1]), with P the
-    int64 cumsum of cur; the first block that falls short returns None.
-    cap holds every entry, so a round in it needs no check: it runs there
-    when dtype is cap or when P (8 bytes per entry of cur) would cost more
-    than dtype saves, so no round takes more memory than one in cap.
+    entry is a sum of at most M non-negative terms, so M max(cur) bounds
+    every partial sum: when that fits dtype, the round runs there unchecked.
+    Otherwise, as an integer add wraps modulo 2^bits, a stored entry equals
+    its true value when that fits and is below it otherwise.  A block is
+    therefore exact when its int64 sum equals its exact tuple count
+    sum_d (P[m1] - P[m0 - 1]), with P the int64 cumsum of cur; the first
+    block that falls short returns None.  cap holds every entry, so a round
+    in it needs no check: it runs there when dtype is cap or when P (8 bytes
+    per entry of cur) would cost more than dtype saves, so no round takes
+    more memory than one in cap.
     """
     top = cur.size - 1
-    checked = dtype != cap and 8 * top <= (cap.itemsize - dtype.itemsize) * size
+    proven = M * int(cur.max()) <= np.iinfo(dtype).max
+    checked = (not proven and dtype != cap
+               and 8 * top <= (cap.itemsize - dtype.itemsize) * size)
     prefix = np.cumsum(cur, dtype=np.int64) if checked else None
-    new = np.zeros(size + 1, dtype=dtype if checked else cap)
+    new = np.zeros(size + 1, dtype=dtype if proven or checked else cap)
     lo = 0
     while lo <= size:
         hi = min(lo + max(_BLOCK, 4096 * (lo // top)), size + 1)
@@ -139,9 +143,10 @@ def _indicator_power(M: int, nu: int, limit: int, cap: np.dtype) -> np.ndarray:
 
     The r-fold convolution b_r vanishes above M^r, so round r fills only
     min(limit, M^r) + 1 entries.  It starts in round r-1's width, since
-    b_r(m) >= b_{r-1}(m) (a tuple can take a trailing factor 1), and moves
-    to the next width when a block wraps; cap = _table_dtype(limit, nu)
-    holds every b_r <= d_nu and ends the search.
+    b_r(m) >= b_{r-1}(m) (a tuple can take a trailing factor 1), runs there
+    unchecked when M max(b_{r-1}) fits, and moves to the next width when a
+    block wraps; cap = _table_dtype(limit, nu) holds every b_r <= d_nu and
+    ends the search.
     """
     cur = np.ones(min(M, limit) + 1, dtype=np.int16)
     cur[0] = 0
@@ -258,15 +263,21 @@ def divisor_table(x: int, nu: int) -> DivisorTable:
 def _weighted_square_sums(arr: np.ndarray, uptos) -> list[float]:
     """sum_{1<=m<=upto} arr[m]^2 / m for each upto: the fsum of the sums of the
     whole 2^16-entry chunks below upto, each taken once, and of the sum of its
-    own partial chunk, the same floats as for upto alone."""
-    chunk = 1 << 16
+    own partial chunk, the same floats as for upto alone.  Every chunk is
+    squared and divided in place in the same two float64 buffers."""
+    chunk, top = 1 << 16, max(uptos, default=0)
+    base = np.arange(min(chunk, top + 1), dtype=np.float64)
+    squares, ms = np.empty_like(base), np.empty_like(base)
 
     def chunk_sum(start: int, stop: int) -> float:
-        v = arr[start:stop].astype(np.float64)
-        return float(np.sum(v * v / np.arange(start, stop, dtype=np.float64)))
+        v, m = squares[:stop - start], ms[:stop - start]
+        np.copyto(v, arr[start:stop], casting="unsafe")
+        np.multiply(v, v, out=v)
+        np.add(base[:v.size], start, out=m)
+        return float(np.sum(np.divide(v, m, out=v)))
 
     whole = [chunk_sum(start, start + chunk)
-             for start in range(1, max(uptos, default=0) + 2 - chunk, chunk)]
+             for start in range(1, top + 2 - chunk, chunk)]
     return [math.fsum(whole[:upto // chunk]
                       + [chunk_sum(upto - upto % chunk + 1, upto + 1)])
             for upto in uptos]

@@ -387,6 +387,24 @@ def test_phases_just_inside_the_range(capsys):
     assert float(rec["spectral_exact"]) == 2.0
 
 
+def test_form_phase_refusal_names_what_it_checked(capsys):
+    # The form checks the modes of S^3 at q = 1; the message said "q = 1".
+    argv = ["moment", "--inline", _BIG_PHI, "--T", "1e10", "--q", "3"]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert "q = 1" not in err and "the mode frequencies of S^q" in err
+
+
+def test_auto_price_stops_past_max_panels(capsys):
+    # T B / 13 is about 7.7e298 panels: the price was a 300-digit integer.
+    # Every count past max_panels takes the same branch, so it is capped there.
+    assert main(["moment", "--inline", "a=0,0;phi=0.5,1e300", "--T", "1"]) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["engine"], rec["auto"]["reason"]) == ("quadrature", "constant_modulus")
+    assert rec["auto"]["quadrature_price"] < 16 * 2 * (2 ** 20 + 1) * 2
+
+
 def test_moment_at_tiny_amplitudes(capsys):
     # (sum a)^2 = 4e-316 is subnormal: the tolerance 1e-15 (sum a)^2 * 2T
     # underflowed to 0, and quadrature died of log(0) with exit 2.

@@ -195,6 +195,83 @@ def test_tables_allocate_no_wide_copy():
     assert _peak_bytes(lambda: power_coefficients(100, 5, 10 ** 6)) <= 9 * (10 ** 6 + 1)
 
 
+_I16, _I32 = np.dtype(np.int16), np.dtype(np.int32)
+
+
+def test_a_round_is_proven_or_checked_at_the_edge_of_its_width():
+    # M max(cur) = 32,767 fits int16: the round runs there unchecked, even
+    # where the memory rule would send a checked round to the int32 cap.
+    new = zeta._convolve_round(np.array([0, 32767], _I16), 1, 1, _I16, _I32)
+    assert new.dtype == _I16 and new.tolist() == [0, 32767]
+    # 2 * 16,384 = 32,768 does not fit: the round is checked, and b[2] wraps.
+    wraps = np.array([0, 16384, 16384], _I16)
+    assert zeta._convolve_round(wraps, 2, 8, _I16, _I32) is None
+    new = zeta._convolve_round(np.array([0, 16383, 16384], _I16), 2, 8, _I16, _I32)
+    assert new.dtype == _I16
+    assert new.tolist() == [0, 16383, 32767, 0, 16384, 0, 0, 0, 0]
+
+
+def test_a_proven_round_allocates_no_prefix():
+    # M max(cur) = 4: the round needs only its int16 output, no int64 prefix
+    # of 8 bytes per entry of cur.
+    top, M = 10 ** 5, 4
+    cur = np.ones(top + 1, _I16)
+    cur[0] = 0
+    size = M * top
+    assert _peak_bytes(lambda: zeta._convolve_round(cur, M, size, _I16, _I32)) <= (
+        2 * (size + 1) + top)
+
+
+@pytest.mark.parametrize("n, nu, limit, dtype", [
+    (20, 5, 10 ** 5, np.int16),  # the memory rule sent these to the int32 cap
+    (3, 7, None, np.int16),
+    (2, 9, None, np.int16),
+    (8, 7, 10 ** 6, np.int16),
+    (4, 11, 10 ** 6, np.int32),  # and this one to the int64 cap
+])
+def test_proven_rounds_narrow_tables(n, nu, limit, dtype):
+    table = power_coefficients(n, nu, limit)
+    assert table.b.dtype == dtype == _narrowest(int(table.b.max()))
+    assert np.array_equal(table.b, _naive_indicator_power(n, nu, limit))
+
+
+def _allocating_square_sums(arr, uptos):
+    """_weighted_square_sums with a fresh array per step of each chunk."""
+    chunk = 1 << 16
+
+    def chunk_sum(start, stop):
+        v = arr[start:stop].astype(np.float64)
+        return float(np.sum(v * v / np.arange(start, stop, dtype=np.float64)))
+
+    whole = [chunk_sum(start, start + chunk)
+             for start in range(1, max(uptos, default=0) + 2 - chunk, chunk)]
+    return [math.fsum(whole[:upto // chunk]
+                      + [chunk_sum(upto - upto % chunk + 1, upto + 1)])
+            for upto in uptos]
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_square_sums_in_reused_buffers_are_bit_identical(dtype):
+    rng = np.random.default_rng(35)
+    chunk = 1 << 16
+    arr = rng.integers(0, np.iinfo(dtype).max, 3 * chunk + 10, dtype=dtype,
+                       endpoint=True)
+    uptos = [0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1,
+             arr.size - 1, 5]
+    assert _weighted_square_sums(arr, uptos) == _allocating_square_sums(arr, uptos)
+    short = arr[:1001]  # a table shorter than one chunk
+    assert _weighted_square_sums(short, [1000, 7, 0]) == _allocating_square_sums(
+        short, [1000, 7, 0])
+
+
+def test_square_sums_size_their_buffers_to_the_table():
+    # Two float64 buffers and the arange of the table's 6,401 entries, not of
+    # 2^16: the corollary's tables stay small.
+    b = power_coefficients(80, 2).b
+    assert _peak_bytes(lambda: _weighted_square_sums(b, [b.size - 1])) <= (
+        3 * 8 * b.size + 4096)
+
+
 def test_nonpositive_limit_is_invalid():
     for limit in (0, -3):
         with pytest.raises(ValueError, match=f"limit must be >= 1, got {limit}"):
