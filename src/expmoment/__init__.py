@@ -9,13 +9,12 @@ from .core import (
     ComplexCoefficients,
     ExpMomentError,
     Instance,
+    KernelParams,
     MomentResult,
     Window,
     dominated_coefficients,
     validate_instance,
 )
-from .evaluate import eval_sum
-from .fejer import KernelParams, kernel_hat, kernel_value
 from .quadrature import (
     QuadratureConfig,
     bandlimit,

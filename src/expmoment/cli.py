@@ -15,8 +15,9 @@ import sys
 
 import numpy as np
 
-from . import spectral, verify, zeta
+from . import verify, zeta
 from .core import (
+    DEFAULT_TERM_BUDGET,
     ExpMomentError,
     Instance,
     NotConvergedError,
@@ -170,10 +171,10 @@ def cmd_plotdata(args) -> int:
     _check_overflow(instance, 2 * args.q)
     if args.points < 1:
         raise ExpMomentError("need at least one grid point")
-    if args.points * instance.size > spectral.DEFAULT_TERM_BUDGET:
+    if args.points * instance.size > DEFAULT_TERM_BUDGET:
         raise TermBudgetExceededError(
             f"{args.points} points x {instance.size} terms exceed budget "
-            f"{spectral.DEFAULT_TERM_BUDGET}")
+            f"{DEFAULT_TERM_BUDGET}")
     ts = np.linspace(args.tmin, args.tmax, args.points)
     if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()):
         raise ExpMomentError("grid points must be finite and strictly increasing")

@@ -1,5 +1,5 @@
 """Domain types shared by every module: instances, complex coefficients,
-windows, moment results, and the error taxonomy.
+windows and Fejer kernels, moment results, the size budget and the errors.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -63,6 +63,9 @@ class TermBudgetExceededError(ExpMomentError):
     plotdata grid points times terms, or exhaustive sign vectors."""
 
 
+DEFAULT_TERM_BUDGET = 10 ** 8  # of every use above but the sign vectors
+
+
 class NotIntegerError(ExpMomentError):
     pass
 
@@ -112,10 +115,6 @@ class Instance:
     def amplitude_sum(self) -> float:
         return math.fsum(self.amplitudes)
 
-    def to_json(self) -> str:
-        return json.dumps({"amplitudes": list(self.amplitudes),
-                           "frequencies": list(self.frequencies)})
-
     @classmethod
     def from_json(cls, text: str) -> "Instance":
         try:
@@ -146,6 +145,14 @@ class ComplexCoefficients:
         return math.fsum(abs(c) for c in self.values)
 
 
+def _check_kernel(kind: str, width_name: str, shift: float, width: float) -> None:
+    """Refuse a non-finite shift or width, or a width below 2^-1022."""
+    if not (math.isfinite(shift) and math.isfinite(width)):
+        raise NonFiniteError(f"{kind} parameters must be finite")
+    if width < sys.float_info.min:
+        raise NonFiniteError(f"{kind} {width_name} must be >= 2^-1022")
+
+
 @dataclass(frozen=True)
 class Window:
     """Integration window: |t - center| <= half_width, with half_width a
@@ -156,10 +163,28 @@ class Window:
     half_width: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.center) and math.isfinite(self.half_width)):
-            raise NonFiniteError("window parameters must be finite")
-        if self.half_width < sys.float_info.min:
-            raise NonFiniteError("window half_width must be >= 2^-1022")
+        _check_kernel("window", "half_width", self.center, self.half_width)
+
+
+@dataclass(frozen=True)
+class KernelParams:
+    """The triangular (Fejer) kernel K_T(t - H) = max(0, 1 - |t - H|/T), with
+    half-width T >= 2^-1022 (normal, as for Window) and center shift H.
+
+    Fourier convention: Khat(u) = integral K(t) e^{-iut} dt, which gives
+    Khat_T(u) = 4 sin^2(uT/2) / (T u^2) >= 0, with zeros at u = 2 pi k / T
+    and Khat_T(0) = T.  Stated here once to avoid 2*pi-convention drift.
+    (The half-angle matters: the frequently quoted (1/T)(sin Tu/u)^2 is the
+    same function with u rescaled and is not the transform under this
+    convention; positivity, the only property the majorization argument
+    needs, holds either way.)
+    """
+
+    T: float
+    H: float = 0.0
+
+    def __post_init__(self):
+        _check_kernel("kernel", "half-width T", self.H, self.T)
 
 
 @dataclass(frozen=True)

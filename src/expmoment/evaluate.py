@@ -1,4 +1,4 @@
-"""S(t) = sum_n c_n e^{it phi_n} at one point, and S, |S|^{2q} on arrays."""
+"""S(t) = sum c_n e^{it phi_n} and |S|^{2q} on arrays, and the engines' range checks."""
 from __future__ import annotations
 
 import math
@@ -6,29 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ComplexCoefficients,
-    Instance,
-    NonFiniteError,
-    OverflowRangeError,
-    coefficient_values,
-)
-
-
-def eval_sum(source: Instance | ComplexCoefficients, t: float) -> complex:
-    """S(t) with compensated per-component accumulation."""
-    if not math.isfinite(t):
-        raise NonFiniteError(f"non-finite t {t!r}")
-    coeffs = coefficient_values(source)
-    phis = source.frequencies
-    re_parts = []
-    im_parts = []
-    for c, phi in zip(coeffs, phis):
-        co = math.cos(t * phi)
-        si = math.sin(t * phi)
-        re_parts.append(c.real * co - c.imag * si)
-        im_parts.append(c.real * si + c.imag * co)
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+from .core import OverflowRangeError, coefficient_values
 
 
 def _check_overflow(source, power: int, mass: float = 1.0) -> None:

@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     ComplexCoefficients,
     Instance,
+    KernelParams,
     MomentResult,
     NotConvergedError,
     Window,
@@ -39,7 +40,6 @@ from .core import (
     validate_order,
 )
 from .evaluate import Grid, _check_overflow, _check_phase_range, power_on_array
-from .fejer import KernelParams, kernel_value
 
 # Cap on points per evaluation call.  A chunk of R = _CHUNK / nodes panels,
 # split into R1 = ceil(R / k) coarse rows of k = isqrt(R) panels each, holds
@@ -245,6 +245,11 @@ def windowed_average(source: Instance | ComplexCoefficients, q: int,
                                      source, q, window.center - T, 1, T,
                                      lambda h, rho: T, 2 * T, 2 * T)
     return MomentResult(value, bound, meta)
+
+
+def kernel_value(params: KernelParams, t):
+    """K_T(t - H) = max(0, 1 - |t - H|/T), elementwise on arrays."""
+    return np.maximum(0.0, 1.0 - np.abs(t - params.H) / params.T)
 
 
 def fejer_weighted_integral(source: Instance | ComplexCoefficients, q: int,

@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DEFAULT_TERM_BUDGET,
     ENGINE_AGREEMENT_RTOL,
     BadGapError,
     ComplexCoefficients,
     Instance,
+    KernelParams,
     NotIntegerError,
     TermBudgetExceededError,
     Window,
@@ -39,9 +41,6 @@ from .core import (
     validate_order,
 )
 from .evaluate import _check_overflow, _check_phase_range
-from .fejer import KernelParams
-
-DEFAULT_TERM_BUDGET = 10 ** 8
 
 # Mode pairs per block of rows of the form, near band and far rectangle
 # each: it bounds the form's temporaries, not its result.

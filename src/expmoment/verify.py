@@ -9,18 +9,21 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import (
+    DEFAULT_TERM_BUDGET,
     ENGINE_AGREEMENT_RTOL,
     BadGapError,
     ComplexCoefficients,
     DegenerateCosineError,
     ExpMomentError,
     Instance,
+    KernelParams,
     NegativeAmplitudeError,
     NonFiniteError,
     OverflowRangeError,
@@ -29,7 +32,6 @@ from .core import (
     validate_order,
 )
 from .evaluate import _check_overflow, _check_phase_range
-from .fejer import KernelParams
 from .quadrature import (
     QuadratureConfig,
     _constant_modulus,
@@ -100,8 +102,8 @@ def _auto_engine(source, q: int, kernel: Window | KernelParams) -> tuple[str, di
     ratio = min(half * band / _PANEL_HB, QuadratureConfig.max_panels + 1)
     panels = pieces * max(1, math.ceil(ratio))
     spec, quad = _PAIR_COST * modes ** 2, QuadratureConfig.gauss_order * panels * n
-    budget = spectral.DEFAULT_TERM_BUDGET
-    if spectral.integer_mode(source, q) and min(modes, int(band) + 1) ** 2 <= budget:
+    if (spectral.integer_mode(source, q)
+            and min(modes, int(band) + 1) ** 2 <= DEFAULT_TERM_BUDGET):
         engine, reason = "spectral", "integer_mode"
     elif _constant_modulus(source):
         # Exact in _gauss_rule at any T.  Otherwise an all-zero source with
@@ -109,7 +111,7 @@ def _auto_engine(source, q: int, kernel: Window | KernelParams) -> tuple[str, di
         engine, reason = "quadrature", "constant_modulus"
     elif panels > QuadratureConfig.max_panels:
         engine, reason = "spectral", "quadrature_over_max_panels"
-    elif modes ** 2 > budget:
+    elif modes ** 2 > DEFAULT_TERM_BUDGET:
         engine, reason = "quadrature", "spectral_over_budget"
     else:
         engine, reason = "spectral" if spec <= quad else "quadrature", "cheaper"
@@ -190,11 +192,18 @@ def _dominated(check: str, coeffs: ComplexCoefficients, q: int,
 
 def check_theorem1(instance: Instance, q: int, half_width: float,
                    engine: str = "auto") -> VerificationReport:
-    """(1/3)(sum a_n^2)^q <= (1/2T) integral_{|t|<=T} |S|^{2q} dt."""
-    q = validate_order(q)
+    """(1/3)(sum a_n^2)^q <= (1/2T) integral_{|t|<=T} |S|^{2q} dt.  A positive lhs
+    outside [2^-1022, inf) overflowed or would pass by underflow: it is refused."""
+    q, energy = validate_order(q), instance.energy()
+    try:
+        lhs = THEOREM_CONSTANT * energy ** q
+    except OverflowError:
+        lhs = math.inf
+    if energy > 0 and not sys.float_info.min <= lhs < math.inf:
+        raise OverflowRangeError(f"(1/3)(sum a_n^2)^{q} = {lhs!r} is outside "
+                                 "[2^-1022, inf); rescale the amplitudes")
     return _window_bound("theorem1", _summary(instance), instance, q, half_width,
-                         THEOREM_CONSTANT * instance.energy() ** q, engine,
-                         q=q, T=half_width, constant=THEOREM_CONSTANT)
+                         lhs, engine, q=q, T=half_width, constant=THEOREM_CONSTANT)
 
 
 def check_lemma(coeffs: ComplexCoefficients, q: int, half_width: float,

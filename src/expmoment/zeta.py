@@ -10,12 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_TERM_BUDGET,
     Instance,
     OverflowRangeError,
     TermBudgetExceededError,
     validate_order,
 )
-from .spectral import DEFAULT_TERM_BUDGET
 from .verify import THEOREM_CONSTANT, VerificationReport, _window_bound
 
 _BLOCK = 1 << 18  # output entries per block of the b_m convolution
@@ -354,11 +354,11 @@ def corollary_lower_bound(N: int, nu: int, half_width: float,
     """
     nu, N = validate_order(nu), _as_int("N", N)
     table = power_coefficients(N, nu)
-    coeff_sum = coefficient_square_sum(table)
+    coeff_sum, upto_n = _weighted_square_sums(table.b, [table.limit, N])
     return _window_bound("corollary", {"N": N, "nu": nu}, zeta_instance(N), nu,
                          half_width, THEOREM_CONSTANT * coeff_sum, engine,
                          N=N, nu=nu, T=half_width,
                          coefficient_square_sum=coeff_sum,
-                         divisor_square_sum_upto_N=coefficient_square_sum(table, N),
+                         divisor_square_sum_upto_N=upto_n,
                          log_power_target=math.log(N) ** (nu * nu),
                          order_note="moment bound applied at q = nu")

@@ -378,6 +378,18 @@ def test_out_of_range_phases_are_invalid(argv, capsys):
     assert "max|phi| is out of range" in err and "rescale the frequencies" in err
 
 
+@pytest.mark.parametrize("inline", ["a=1,2,3,4,5;phi=0,0.7,1.9,3.1,4.6",
+                                    "a=1e-3,2e-3;phi=0,0.7"])
+def test_theorem1_lhs_outside_the_normal_range_is_invalid(inline, capsys):
+    # (1/3)(sum a^2)^200 overflows (it was an untyped OverflowError, exit 1)
+    # or underflows to 0 (it passed on lhs = rhs = 0).
+    assert main(["verify", "theorem1", "--inline", inline, "--q", "200",
+                 "--T", "10"]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert "outside [2^-1022, inf); rescale the amplitudes" in err
+
+
 def test_phases_just_inside_the_range(capsys):
     # 2 max|phi| T = 2e307 is finite: auto runs spectral, and the far mode
     # pair adds 2 sin(T d)/(T d), at most 2e-307, to the average 2.

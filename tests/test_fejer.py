@@ -5,7 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from expmoment.fejer import KernelParams, kernel_hat, kernel_value
+from expmoment.core import KernelParams
+from expmoment.quadrature import kernel_value
+from reference_oracle import kernel_hat
 
 
 def test_kernel_value_examples():

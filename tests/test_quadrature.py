@@ -6,13 +6,13 @@ import pytest
 
 from expmoment import quadrature, spectral, verify
 from expmoment.core import (
+    KernelParams,
     NotConvergedError,
     OverflowRangeError,
     Window,
     dominated_coefficients,
     validate_instance,
 )
-from expmoment.fejer import KernelParams
 from expmoment.quadrature import (
     QuadratureConfig,
     bandlimit,

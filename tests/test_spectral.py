@@ -7,6 +7,7 @@ import pytest
 
 from expmoment.core import (
     BadGapError,
+    KernelParams,
     NotIntegerError,
     OverflowRangeError,
     TermBudgetExceededError,
@@ -14,9 +15,7 @@ from expmoment.core import (
     dominated_coefficients,
     validate_instance,
 )
-from expmoment.evaluate import eval_sum
 from expmoment import spectral
-from expmoment.fejer import KernelParams, kernel_hat
 from expmoment.quadrature import windowed_average
 from expmoment.spectral import (
     _expand,
@@ -27,6 +26,7 @@ from expmoment.spectral import (
 )
 from expmoment.verify import random_dominated, random_instance
 from expmoment.zeta import zeta_instance
+from reference_oracle import eval_sum, kernel_hat
 from tuple_sum_oracle import closed_form_cases, tuple_sum
 
 

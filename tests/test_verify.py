@@ -11,6 +11,7 @@ from expmoment.core import (
     DegenerateCosineError,
     ExpMomentError,
     Instance,
+    KernelParams,
     NegativeAmplitudeError,
     NonFiniteError,
     OverflowRangeError,
@@ -19,8 +20,6 @@ from expmoment.core import (
     dominated_coefficients,
     validate_instance,
 )
-from expmoment.evaluate import eval_sum
-from expmoment.fejer import KernelParams
 from expmoment.quadrature import bandlimit, fejer_weighted_integral, windowed_average
 from expmoment.spectral import expand, fejer_weighted_exact, integral_exact
 from expmoment.verify import (
@@ -33,6 +32,7 @@ from expmoment.verify import (
     random_dominated,
     random_instance,
 )
+from reference_oracle import eval_sum
 
 
 def test_theorem1_single_term():
@@ -549,3 +549,68 @@ def test_theorem1_at_huge_window_runs_spectral(q):
     assert (rep.method["engine"], rep.method["auto"]["reason"]) == (
         "spectral", "quadrature_over_max_panels")
     assert rep.passed
+
+
+def test_theorem1_refuses_an_lhs_outside_the_normal_range():
+    # (1/3) 55^200 overflows a double, and (1/3) (5e-6)^200 = 2.07e-1061
+    # underflows to 0, where the check held on 0 <= 0 alone.
+    for amps, phis in (([1, 2, 3, 4, 5], [0, 0.7, 1.9, 3.1, 4.6]),
+                       ([1e-3, 2e-3], [0, 0.7])):
+        with pytest.raises(OverflowRangeError, match=r"outside \[2\^-1022, inf\)"):
+            check_theorem1(validate_instance(amps, phis), 200, 10.0)
+
+
+@pytest.mark.parametrize("engine", ["auto", "spectral", "quadrature", "both"])
+def test_theorem1_just_inside_the_normal_range_passes(engine):
+    # (1/3) (5e-6)^57 = 2.3e-303 is normal, (1/3) (5e-6)^58 = 1.2e-308 is not.
+    inst = validate_instance([1e-3, 2e-3], [0.0, 0.7])
+    rep = check_theorem1(inst, 57, 10.0, engine)
+    assert rep.passed and rep.lhs == pytest.approx(2.3129646346357e-303, rel=1e-12)
+    with pytest.raises(OverflowRangeError, match=r"\(sum a_n\^2\)\^58"):
+        check_theorem1(inst, 58, 10.0, engine)
+
+
+def test_theorem1_upper_edge_is_left_to_the_engines():
+    # (1/3) 55^177 is finite and 55^178 overflows.  As (sum a)^2 >= sum a^2,
+    # every engine's own (sum a)^{2q} <= 1e300 refusal comes first below it.
+    inst = validate_instance([1, 2, 3, 4, 5], [0, 0.7, 1.9, 3.1, 4.6])
+    with pytest.raises(OverflowRangeError, match="exceeds 1e300"):
+        check_theorem1(inst, 177, 10.0)
+    with pytest.raises(OverflowRangeError, match=r"\(sum a_n\^2\)\^178 = inf"):
+        check_theorem1(inst, 178, 10.0)
+
+
+def _time_scaled(source, k: int):
+    """source with every frequency times 2^k."""
+    inst = source.dominating if hasattr(source, "dominating") else source
+    scaled = validate_instance(inst.amplitudes,
+                               [math.ldexp(p, k) for p in inst.frequencies])
+    return scaled if source is inst else dominated_coefficients(source.values, scaled)
+
+
+@pytest.mark.parametrize("engine", ["spectral", "quadrature"])
+def test_window_integral_is_bit_exact_under_power_of_two_time_scaling(engine):
+    # phi -> 2^k phi and T -> 2^-k T scale the raw integral by exactly 2^-k:
+    # every node, mode and kernel argument scales by a power of two.
+    for source, rep in verify.campaign("theorem1", 150, 11):
+        q, T = rep.method["q"], rep.method["T"]
+        want, _ = verify._raw_window_integral(source, q, Window(0.0, T), engine)
+        for k in (-3, -1, 1, 3):
+            got, _ = verify._raw_window_integral(
+                _time_scaled(source, k), q, Window(0.0, math.ldexp(T, -k)), engine)
+            assert got == math.ldexp(want, -k), (source, q, T, k)
+
+
+@pytest.mark.parametrize("engine", ["spectral", "quadrature"])
+def test_fejer_integral_is_bit_exact_under_power_of_two_time_scaling(engine):
+    # The same with H -> 2^-k H, for both sides of eq45.
+    for coeffs, rep in verify.campaign("eq45", 60, 13):
+        q, T, H = rep.method["q"], rep.method["T"], rep.method["H"]
+        for source, shift in ((coeffs, H), (coeffs.dominating, 0.0)):
+            want, _ = verify._raw_window_integral(source, q, KernelParams(T, shift),
+                                                  engine)
+            for k in (-2, 2):
+                kernel = KernelParams(math.ldexp(T, -k), math.ldexp(shift, -k))
+                got, _ = verify._raw_window_integral(_time_scaled(source, k), q,
+                                                     kernel, engine)
+                assert got == math.ldexp(want, -k), (source, q, T, shift, k)
