@@ -8,7 +8,6 @@ inequality check failed or the engines of ``moment --engine both`` disagreed
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -117,13 +116,6 @@ def cmd_verify(args) -> int:
             reports.append(verify.check_bohr_bound(inst, args.index))
     for rep in reports:
         print(rep.to_json_line())
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check", "lhs", "rhs", "margin", "passed"])
-            for rep in reports:
-                writer.writerow([rep.check_name, _fmt(rep.lhs), _fmt(rep.rhs),
-                                 _fmt(rep.margin), rep.passed])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATED
 
 
@@ -224,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=10)
     p.add_argument("--nu", type=int, default=1)
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--csv")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("zeta", help="critical-line partial-sum application")

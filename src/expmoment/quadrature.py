@@ -189,14 +189,17 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     """
     _check_overflow(source, 2 * q, mass)
     _check_phase_range(source.frequencies, q, max(abs(lo), abs(lo + 2 * pieces * half)))
-    if _constant_modulus(source):  # |S| = |sum c_n|
+    if _constant_modulus(source):  # |S| = |sum c_n| = 2^e m, m in [2^-0.5, 2^0.5)
         modulus = float(abs(sum(np.asarray(coefficient_values(source), dtype=complex))))
-        return modulus ** (2 * q) * (mass / norm), 0.0, {
+        e = math.frexp(modulus * math.sqrt(2))[1] - 1  # so that c -> 2^k c gives e + k
+        value = math.ldexp(math.ldexp(modulus, -e) ** (2 * q), 2 * q * e)
+        return value * (mass / norm), 0.0, {
             "panels": 0, "points": 0, "constant": True, "error_kind": "truncation_bound"}
     nodes, weights = gauss_legendre()
     mags = np.abs(np.asarray(coefficient_values(source), dtype=np.complex128))
     log_m = _log_envelope(mags, source.frequencies, q)
-    ys = _YS / bandlimit(source, q)
+    # Any grid of heights is admissible; 1e3 / B overflows for B below 1e-300.
+    ys = _YS / max(bandlimit(source, q), 1e-300)
     log_my = np.maximum.accumulate(log_m(ys))  # non-decreasing, for np.interp
     unit = float(np.sum(mags))  # > 0: an all-zero source has constant modulus
     scale = unit ** (2 * q) * mass

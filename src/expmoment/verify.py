@@ -41,9 +41,8 @@ from .quadrature import (
 )
 from . import spectral
 
-# Slack of the pass verdict lhs <= rhs*(1+REL) + ABS; REL is the Gauss rule's tolerance.
+# Slack of the pass verdict lhs <= rhs*(1+REL): the Gauss rule's tolerance.
 PASS_REL_SLACK = QuadratureConfig.rel_tol
-PASS_ABS_SLACK = 1e-12
 
 # "auto" prices a spectral mode pair at _PAIR_COST Gauss term-points, fitted
 # on the benchmark (CHANGES.md).  _gauss_rule's panels have half-width about
@@ -78,7 +77,7 @@ class VerificationReport:
 
 
 def inequality_holds(lhs: float, rhs: float) -> bool:
-    return lhs <= rhs * (1.0 + PASS_REL_SLACK) + PASS_ABS_SLACK
+    return lhs <= rhs * (1.0 + PASS_REL_SLACK)
 
 
 def _summary(source) -> dict:
@@ -159,7 +158,11 @@ def _raw_window_integral(source, q: int, kernel: Window | KernelParams,
 
 def _report(check: str, summary: dict, lhs: float, rhs: float, meta: dict,
             *sides: dict, holds: bool = True) -> VerificationReport:
-    """The one verdict: lhs <= rhs, every side's engines agree, and holds."""
+    """The one verdict: lhs <= rhs, every side's engines agree, and holds.
+    A nonzero side below 2^-1022 has lost its relative precision: it is refused."""
+    if any(0 < abs(side) < sys.float_info.min for side in (lhs, rhs)):
+        raise OverflowRangeError(f"{check}: lhs {lhs!r} or rhs {rhs!r} is below "
+                                 "2^-1022, where a double loses precision; rescale")
     passed = (inequality_holds(lhs, rhs) and holds
               and all(m.get("engines_agree", True) for m in sides))
     return VerificationReport(check, summary, lhs, rhs, rhs - lhs, passed, meta)

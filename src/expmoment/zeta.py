@@ -33,9 +33,6 @@ class CoefficientTable:
     limit: int
     b: np.ndarray  # m in 0..limit, b[0] unused; width by value (power_coefficients)
 
-    def total(self) -> int:
-        return int(self.b.sum(dtype=np.int64))
-
 
 @dataclass(frozen=True)
 class DivisorTable:
@@ -287,15 +284,6 @@ def divisor_sum(x: int, nu: int) -> float:
     """sum_{m<=x} d_nu(m)^2 / m, which grows like C_nu log^{nu^2} x."""
     table = divisor_table(x, nu)
     return _weighted_square_sums(table.d, [table.x])[0]
-
-
-def coefficient_square_sum(table: CoefficientTable,
-                           upto: int | None = None) -> float:
-    """sum_{m<=upto} b_m^2 / m over the coefficient table."""
-    upto = table.limit if upto is None else _as_int("upto", upto)
-    if not 0 <= upto <= table.limit:
-        raise ValueError(f"square sum needs 0 <= upto <= {table.limit}, got {upto}")
-    return _weighted_square_sums(table.b, [upto])[0]
 
 
 def growth_fit(nu: int = 2, xs=None) -> dict:

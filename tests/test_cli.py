@@ -121,8 +121,7 @@ def test_each_subcommand_has_exactly_its_options():
         "moment": ["--instance", "--inline", "--q", "--T", "--center",
                    "--engine"],
         "verify": ["--instance", "--inline", "--random", "--seed", "--q", "--T",
-                   "--T0", "--H", "--gamma", "--index", "--N", "--nu", "--quick",
-                   "--csv"],
+                   "--T0", "--H", "--gamma", "--index", "--N", "--nu", "--quick"],
         "zeta": ["--nu", "--N", "--T", "--sweep", "--divisor-sum-only", "--x"],
         "plotdata": ["--instance", "--inline", "--q", "--tmin", "--tmax",
                      "--points"]}
@@ -159,9 +158,8 @@ def test_verify_eq45_single_instance(two_tone, capsys):
     assert rec["passed"]
 
 
-def test_verify_all_quick(capsys, tmp_path):
-    csv_path = tmp_path / "summary.csv"
-    assert main(["verify", "all", "--quick", "--csv", str(csv_path)]) == EXIT_OK
+def test_verify_all_quick(capsys):
+    assert main(["verify", "all", "--quick"]) == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
     recs = [json.loads(line) for line in out]
     assert {"theorem1", "lemma", "eq45", "sup_chain",
@@ -169,11 +167,10 @@ def test_verify_all_quick(capsys, tmp_path):
     # --quick caps only the case count: the sup chain still reaches T = 1000.
     assert all(rec["half_widths"] == [10.0, 100.0, 1000.0]
                for rec in recs if rec["check"] == "sup_chain")
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "check,lhs,rhs,margin,passed"
 
 
 _TWO = "a=1,0.5;phi=0,1"
+_TINY = "a=1e-80,1e-80;phi=0,1.5"
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -197,12 +194,28 @@ _TWO = "a=1,0.5;phi=0,1"
     (["ingham", "--inline", "a=1,1;phi=0,1e300", "--gamma", "1e-10"], "max|phi|"),
     (["ingham", "--inline", "a=1,1;phi=-1e308,1e308", "--gamma", "1e300"],
      "max|phi|"),
+    # A nonzero side below 2^-1022 has lost its relative precision: these
+    # passed on lhs = rhs = 6.1288e-319, on 1.2e-318 <= 3.8e-318 and on
+    # 1e-320 <= 2e-320.
+    (["eq45", "--inline", _TINY, "--q", "2", "--T", "10"], "below 2^-1022"),
+    (["lemma", "--inline", _TINY, "--q", "2", "--T", "10", "--T0", "3"],
+     "below 2^-1022"),
+    (["sup-chain", "--inline", "a=1e-320,1e-320;phi=0,1", "--T", "5"],
+     "below 2^-1022"),
 ])
 def test_verify_out_of_range_is_invalid(argv, named, capsys):
     assert main(["verify", *argv]) == EXIT_INVALID
     out, err = capsys.readouterr()
-    assert out == ""
+    assert out == "" and err.startswith("error: ")
     assert named in err
+
+
+@pytest.mark.parametrize("inline, lhs", [
+    ("a=1e-75,1e-75;phi=0,1.5", 6.1288e-299), ("a=0,0;phi=0,1.5", 0.0)])
+def test_verify_decides_a_normal_or_zero_side(inline, lhs, capsys):
+    assert main(["verify", "eq45", "--inline", inline, "--q", "2", "--T", "10"]) == EXIT_OK
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["passed"] and rec["lhs"] == pytest.approx(lhs, rel=1e-4)
 
 
 def test_verify_corollary(capsys):
@@ -533,14 +546,18 @@ def test_refused_zeta_prints_no_csv(argv, code, capsys):
 @pytest.mark.parametrize("argv, code", [
     (["zeta", "--nu", "3", "--N", "1000"], EXIT_BUDGET),
     (["moment", "--inline", "a=1;phi=0", "--T", "1"], EXIT_OK),
+    (["zeta", "--nu", "2", "--N", "10", "--T", "100"], EXIT_OK),
+    (["moment", "--T", "1"], EXIT_INVALID),  # no instance given
 ])
-def test_console_entry_exit_codes(argv, code):
-    # python -m expmoment.cli runs cli.entry, as the installed script does.
+def test_console_entry_exit_codes(argv, code, capsys):
+    # python -m expmoment.cli runs cli.entry, as the installed script does,
+    # and exits with main's code after printing what main prints in process.
     run = subprocess.run([sys.executable, "-m", "expmoment.cli", *argv], env=_SRC_ENV,
                          capture_output=True, text=True)
-    assert run.returncode == code
+    assert run.returncode == main(argv) == code
+    assert run.stdout == capsys.readouterr().out
     if code == EXIT_OK:
-        assert json.loads(run.stdout)["engine"] and run.stderr == ""
+        assert run.stdout and run.stderr == ""
     else:
         assert run.stdout == "" and run.stderr.startswith("error: ")
 

@@ -1,8 +1,11 @@
+import cmath
 import json
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expmoment import quadrature, spectral, verify, zeta
 from expmoment.cli import EXIT_VIOLATED, main
@@ -351,8 +354,6 @@ _FLAT_PHIS = [1 - 3.2e-12 - (31 - j) * 1e-15 for j in range(31)] + [1.0]
      DegenerateCosineError),
     (lambda: list(verify.campaign("nope", 1, 1)), ExpMomentError),
     (lambda: check_theorem1(_PAIR, 1, 1.0, engine="nope"), ValueError),
-    (lambda: zeta.coefficient_square_sum(zeta.power_coefficients(5, 2), 26),
-     ValueError),
 ], ids=["kernel-nan", "kernel-zero-T", "kernel-subnormal-T", "coefficient-nan",
         "eval-inf-t",
         "sup-chain-no-T", "sup-chain-2T-overflow", "sup-chain-inf-T",
@@ -365,8 +366,7 @@ _FLAT_PHIS = [1 - 3.2e-12 - (31 - j) * 1e-15 for j in range(31)] + [1.0]
         "spectral-window-phase-overflow", "spectral-fejer-phase-overflow",
         "theorem1-phase-overflow", "bohr-product-underflow",
         "bohr-product-underflow-zero-amplitudes",
-        "campaign-unknown", "engine-unknown",
-        "square-sum-past-table"])
+        "campaign-unknown", "engine-unknown"])
 def test_refusals_raise_their_typed_error(call, error):
     with pytest.raises(error) as info:
         call()
@@ -580,12 +580,19 @@ def test_theorem1_upper_edge_is_left_to_the_engines():
         check_theorem1(inst, 178, 10.0)
 
 
+def _rebuilt(source, amp=lambda a: a, phi=lambda p: p, order=None):
+    """source with a_n and c_n mapped by amp, phi_n by phi, its terms in order."""
+    inst = source.dominating if hasattr(source, "dominating") else source
+    order = range(inst.size) if order is None else order
+    rebuilt = validate_instance([amp(inst.amplitudes[i]) for i in order],
+                                [phi(inst.frequencies[i]) for i in order])
+    return rebuilt if source is inst else dominated_coefficients(
+        [amp(source.values[i]) for i in order], rebuilt)
+
+
 def _time_scaled(source, k: int):
     """source with every frequency times 2^k."""
-    inst = source.dominating if hasattr(source, "dominating") else source
-    scaled = validate_instance(inst.amplitudes,
-                               [math.ldexp(p, k) for p in inst.frequencies])
-    return scaled if source is inst else dominated_coefficients(source.values, scaled)
+    return _rebuilt(source, phi=lambda p: math.ldexp(p, k))
 
 
 @pytest.mark.parametrize("engine", ["spectral", "quadrature"])
@@ -614,3 +621,94 @@ def test_fejer_integral_is_bit_exact_under_power_of_two_time_scaling(engine):
                 got, _ = verify._raw_window_integral(_time_scaled(source, k), q,
                                                      kernel, engine)
                 assert got == math.ldexp(want, -k), (source, q, T, shift, k)
+
+
+@st.composite
+def _window_cases(draw, checks=("theorem1", "lemma", "eq45")):
+    """(source, q, kernel) as a theorem-1, lemma or eq45 side integrates it.
+
+    Amplitudes and coefficient radii stay in [1e-3, 1] or at 0, so that
+    scaling by 2^+-20 keeps every value and result normal; eq45's
+    frequencies are integers, as in its campaign.
+    """
+    check, q = draw(st.sampled_from(checks)), draw(st.integers(1, 3))
+    n, T = draw(st.integers(1, 5)), draw(st.floats(0.1, 50.0))
+    amps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    phis = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    if check == "eq45":
+        phis = [float(round(p)) for p in phis]
+    inst = validate_instance(amps, phis)
+    if check == "theorem1":
+        return inst, q, Window(0.0, T)
+    radii = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
+    coeffs = dominated_coefficients(
+        [a * r * cmath.exp(1j * th) for a, r, th in zip(amps, radii, angles)], inst)
+    if check == "lemma":
+        return coeffs, q, Window(draw(st.floats(-1e3, 1e3)), T)
+    return coeffs, q, KernelParams(T, draw(st.floats(-100.0, 100.0)))
+
+
+def _relative_change(got: float, want: float) -> float:
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+# Falsifying draws, kept: on a constant |S|, pow(|sum c|, 2q) was an ulp off
+# under 2^k scaling, and a subnormal bandlimit B overflowed the Gauss rule's 1e3 / B.
+_ONE_TERM = (dominated_coefficients([0.0004420944285820277], validate_instance(
+    [1e-3], [0.0])), 2, Window(0.0, 1.0))
+_SUBNORMAL_B = (validate_instance([1.0, 1.0], [0.0, 2.225073858507203e-309]), 1,
+                Window(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_window_cases(), st.sampled_from([-20, -5, 5, 20]))
+@example(_ONE_TERM, -5)
+@example(_SUBNORMAL_B, 20)
+def test_window_integral_is_exact_under_amplitude_scaling(case, k):
+    # c -> 2^k c scales |S|^{2q} by exactly 2^{2qk}: every product and sum of
+    # both engines scales by a power of two, and the Gauss rule sizes its
+    # panels relative to (sum |c|)^{2q}.  So verdicts do not depend on scale.
+    source, q, kernel = case
+    scaled = _rebuilt(source, amp=lambda a: a * 2.0 ** k)
+    for engine in ("spectral", "quadrature"):
+        want, _ = verify._raw_window_integral(source, q, kernel, engine)
+        got, _ = verify._raw_window_integral(scaled, q, kernel, engine)
+        assert got == math.ldexp(want, 2 * q * k), engine
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_window_cases(), st.randoms(use_true_random=False))
+@example(_SUBNORMAL_B, random.Random(0))
+def test_window_integral_does_not_depend_on_the_order_of_the_terms(case, rnd):
+    source, q, kernel = case
+    order = list(range(source.size))
+    rnd.shuffle(order)
+    permuted = _rebuilt(source, order=order)
+    for engine in ("spectral", "quadrature"):
+        want, _ = verify._raw_window_integral(source, q, kernel, engine)
+        got, _ = verify._raw_window_integral(permuted, q, kernel, engine)
+        assert _relative_change(got, want) <= 1e-13, engine
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_window_cases(checks=("theorem1",)), st.floats(-20.0, 20.0))
+@example(_SUBNORMAL_B, 0.0)
+def test_centred_window_integral_does_not_depend_on_a_frequency_shift(case, s):
+    # phi -> phi + s multiplies S(t) by e^{ist}, so |S| is unchanged.
+    source, q, kernel = case
+    shifted = _rebuilt(source, phi=lambda p: p + s)
+    for engine in ("spectral", "quadrature"):
+        want, _ = verify._raw_window_integral(source, q, kernel, engine)
+        got, _ = verify._raw_window_integral(shifted, q, kernel, engine)
+        assert _relative_change(got, want) <= 1e-12, engine
+
+
+def test_zero_engine_value_fails_theorem1_at_every_amplitude_scale(monkeypatch):
+    # lhs and rhs both scale by s^{2q}, so an engine that returns 0 fails
+    # at every s, and not only where lhs is large.
+    monkeypatch.setattr(verify, "_raw_window_integral",
+                        lambda *args: (0.0, {"engine": "spectral"}))
+    for s in (1.0, 1e-3, 1e-7, 2.0 ** -30):
+        rep = check_theorem1(validate_instance([s, s], [0.0, 1.5]), 1, 10.0)
+        assert rep.rhs == 0.0 and not rep.passed, s

@@ -14,7 +14,6 @@ from expmoment.zeta import (
     _max_divisor_count,
     _primes_upto,
     _weighted_square_sums,
-    coefficient_square_sum,
     corollary_lower_bound,
     divisor_sum,
     divisor_table,
@@ -45,7 +44,7 @@ def test_tuple_count_total():
             range(1, n + 1), repeat=nu))
         table = power_coefficients(n, nu, limit=limit)
         if limit is None:
-            assert table.total() == n ** nu
+            assert int(table.b.sum(dtype=np.int64)) == n ** nu
         assert table.b.tolist() == [0] + [counts[m]
                                           for m in range(1, table.limit + 1)]
 
@@ -95,7 +94,7 @@ def test_table_takes_the_width_of_its_own_values(n, nu, dtype):
     assert table.b.dtype == dtype == _narrowest(int(table.b.max()))
     # A wrapped entry is stored below its true value, so the right total
     # leaves none wrapped.
-    assert table.total() == n ** nu
+    assert int(table.b.sum(dtype=np.int64)) == n ** nu
     if n ** nu < 10 ** 6:
         assert np.array_equal(table.b, _naive_indicator_power(n, nu, None))
 
@@ -171,7 +170,7 @@ def test_total_sums_past_the_table_dtype():
     # 40^3 = 64,000 tuples in an int16 table: an int16 sum would wrap.
     table = power_coefficients(40, 3)
     assert table.b.dtype == np.int16
-    assert table.total() == 40 ** 3
+    assert int(table.b.sum(dtype=np.int64)) == 40 ** 3
 
 
 def _peak_bytes(build):
@@ -302,15 +301,6 @@ def test_power_coefficients_integral_float_sizes():
         power_coefficients(10, 3, limit=100.5)
     with pytest.raises(ValueError, match="N must be an integer"):
         power_coefficients(10.5, 3)
-
-
-def test_coefficient_square_sum_integral_float_upto():
-    table = power_coefficients(10, 2)
-    want = coefficient_square_sum(table, 50)
-    assert coefficient_square_sum(table, 50.0) == want
-    assert coefficient_square_sum(table, np.int64(50)) == want
-    with pytest.raises(ValueError, match="upto must be an integer"):
-        coefficient_square_sum(table, 50.5)
 
 
 def test_growth_fit_integral_float_xs():
@@ -519,11 +509,8 @@ def test_square_sum_argument_errors():
     with pytest.raises(ValueError):
         divisor_sum(-5, 2)
     table = power_coefficients(10, 2)
-    with pytest.raises(ValueError):
-        coefficient_square_sum(table, -4)
-    assert coefficient_square_sum(table, 0) == 0.0
     assert _weighted_square_sums(table.b, [0, 3, 0]) == [
-        0.0, coefficient_square_sum(table, 3), 0.0]
+        0.0, _weighted_square_sums(table.b, [3])[0], 0.0]
 
 
 def test_one_pass_sums_equal_single_sums():
@@ -536,7 +523,8 @@ def test_one_pass_sums_equal_single_sums():
     assert fit["sums"] == [1236.1731776193803, 1016.7511722291158,
                            237.30033124448084, 1016.7512332633407,
                            1236.1730555499992, 237.30033124448084]
-    assert coefficient_square_sum(power_coefficients(40, 2)) == 77.25176411351093
+    table = power_coefficients(40, 2)
+    assert _weighted_square_sums(table.b, [table.limit])[0] == 77.25176411351093
     # Whole chunks summed once serve every upto, as one call per upto does.
     chunk = 1 << 16
     uptos = [chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 5]
@@ -565,8 +553,7 @@ def test_coefficient_chain_inequality():
     # divisor-square sum
     for n, nu in ((10, 2), (6, 3)):
         table = power_coefficients(n, nu)
-        full = coefficient_square_sum(table)
-        trunc = coefficient_square_sum(table, upto=n)
+        full, trunc = _weighted_square_sums(table.b, [table.limit, n])
         assert full >= trunc
         assert trunc == pytest.approx(divisor_sum(n, nu), rel=1e-12)
 
@@ -575,7 +562,8 @@ def test_corollary_reads_divisor_sum_from_its_own_table(monkeypatch):
     # b_m = d_nu(m) for m <= N, so the b table's prefix sum is divisor_sum
     # bit for bit, and the corollary sieves no divisor table of its own.
     for n, nu in itertools.product((1, 2, 7, 30, 64), (1, 2, 3)):
-        assert coefficient_square_sum(power_coefficients(n, nu), n) == divisor_sum(n, nu)
+        b = power_coefficients(n, nu).b
+        assert _weighted_square_sums(b, [n])[0] == divisor_sum(n, nu)
     expected = divisor_sum(30, 2)
 
     def no_sieve(*args, **kwargs):
