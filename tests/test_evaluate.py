@@ -114,8 +114,8 @@ def test_sum_on_grid_matches_pointwise(inst, phases, rows, cols):
         for i, r in enumerate(rows):
             for j, c in enumerate(cols):
                 t = r + c
-                bound = 1e-12 * source.amplitude_sum() * max(
-                    1.0, max(abs(t * p) for p in inst.frequencies)) \
+                bound = 1e-12 * (source.amplitude_sum() * max(
+                    1.0, max(abs(t * p) for p in inst.frequencies))) \
                     + 4 * inst.size * math.ulp(0.0)
                 assert abs(vals[i, j] - eval_sum(source, t)) <= bound
 
@@ -129,6 +129,11 @@ def test_sum_on_grid_matches_pointwise(inst, phases, rows, cols):
 @example(validate_instance([2.2250738585e-313], [1.0]), [0.0] * 8, [2.0], [1.0], [0.5])
 @example(validate_instance([2.2250738585e-313], [1.0]), [1.859375] * 8, [2.0], [1.0],
          [0.5])  # |a e^{i theta}| rounds one ulp of 0 past a
+# A subnormal amplitude at |t phi| ~ 8e5: the phase rounding moves the sum by
+# five subnormal units, inside the relative bound only if 1e-12 multiplies
+# the product sum|a| * |t phi| rather than sum|a| alone, which flushes to 0.
+@example(validate_instance([2.2250738585e-313], [5.19518138674086]), [0.0] * 8,
+         [156151.0], [0.0], [4.0])
 def test_sum_on_nested_grid_matches_pointwise(inst, phases, coarse, fine, cols):
     values = [a * cmath.exp(1j * th) for a, th in zip(inst.amplitudes, phases)]
     cc = dominated_coefficients(values, inst)
@@ -143,8 +148,8 @@ def test_sum_on_nested_grid_matches_pointwise(inst, phases, coarse, fine, cols):
         for i, j, k in np.ndindex(shape):
             t = coarse[i] + (fine[j] + cols[k])
             assert points[i, j, k] == t
-            bound = 1e-12 * source.amplitude_sum() * max(
-                1.0, max(abs(t * p) for p in inst.frequencies)) \
+            bound = 1e-12 * (source.amplitude_sum() * max(
+                1.0, max(abs(t * p) for p in inst.frequencies))) \
                 + 4 * inst.size * math.ulp(0.0)
             assert abs(vals[i, j, k] - eval_sum(source, t)) <= bound
 
