@@ -66,10 +66,6 @@ class TermBudgetExceededError(ExpMomentError):
 DEFAULT_TERM_BUDGET = 10 ** 8  # of every use above but the sign vectors
 
 
-class NotIntegerError(ExpMomentError):
-    pass
-
-
 class BadGapError(ExpMomentError):
     pass
 

@@ -9,22 +9,31 @@ import numpy as np
 from .core import OverflowRangeError, coefficient_values
 
 
+def _power(x, q: int):
+    """x^q for x >= 0 (a float or an array) and q >= 1 by repeated squaring: only
+    rounded products, so exact under x -> 2^k x, and no step computes past x^q."""
+    result = x if q & 1 else None
+    while q := q >> 1:
+        x = x * x
+        if q & 1:
+            result = x if result is None else result * x
+    return result
+
+
 def _check_overflow(source, power: int, mass: float = 1.0) -> None:
     """Raise OverflowRangeError when (sum |c_n|)^power * max(1, mass) > 1e300.
 
     That bounds |S|^power times the kernel's mass, so every engine's values and
     sums stay in the double range (callers may rescale: everything is
-    homogeneous).  It is taken in the log domain, and a sum that itself
-    leaves the double range is out of range.  source has amplitude_sum(),
-    or is the array of the c_n themselves.
+    homogeneous).  A sum or power past the double range is inf, out of range.
+    source has amplitude_sum(), or is the array of the c_n themselves.
     """
     try:
         total = (math.fsum(abs(complex(c)) for c in source)
                  if isinstance(source, np.ndarray) else source.amplitude_sum())
     except OverflowError:
         total = math.inf
-    if total > 0 and (power * math.log(total) + math.log(max(1.0, mass))
-                      > 300 * math.log(10)):
+    if _power(total, power) * max(1.0, mass) > 1e300:
         raise OverflowRangeError(
             f"(sum |c_n|)^{power} * max(1, mass {mass!r}) exceeds 1e300; "
             "rescale the amplitudes")
@@ -94,5 +103,5 @@ def sum_on_array(source, ts: np.ndarray | Grid) -> np.ndarray:
 def power_on_array(source, ts: np.ndarray | Grid, q: int) -> np.ndarray:
     """|S(t)|^{2q} on an array of points or on a Grid."""
     s = sum_on_array(source, ts)
-    return (s.real * s.real + s.imag * s.imag) ** q
+    return _power(s.real * s.real + s.imag * s.imag, q)
 

@@ -39,7 +39,7 @@ from .core import (
     coefficient_values,
     validate_order,
 )
-from .evaluate import Grid, _check_overflow, _check_phase_range, power_on_array
+from .evaluate import Grid, _check_overflow, _check_phase_range, _power, power_on_array
 
 # Cap on points per evaluation call.  A chunk of R = _CHUNK / nodes panels,
 # split into R1 = ceil(R / k) coarse rows of k = isqrt(R) panels each, holds
@@ -189,11 +189,9 @@ def _gauss_rule(f, source, q: int, lo: float, pieces: int, half: float,
     """
     _check_overflow(source, 2 * q, mass)
     _check_phase_range(source.frequencies, q, max(abs(lo), abs(lo + 2 * pieces * half)))
-    if _constant_modulus(source):  # |S| = |sum c_n| = 2^e m, m in [2^-0.5, 2^0.5)
+    if _constant_modulus(source):  # |S| = |sum c_n|
         modulus = float(abs(sum(np.asarray(coefficient_values(source), dtype=complex))))
-        e = math.frexp(modulus * math.sqrt(2))[1] - 1  # so that c -> 2^k c gives e + k
-        value = math.ldexp(math.ldexp(modulus, -e) ** (2 * q), 2 * q * e)
-        return value * (mass / norm), 0.0, {
+        return _power(modulus * modulus, q) * (mass / norm), 0.0, {
             "panels": 0, "points": 0, "constant": True, "error_kind": "truncation_bound"}
     nodes, weights = gauss_legendre()
     mags = np.abs(np.asarray(coefficient_values(source), dtype=np.complex128))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import NonFiniteError, TermBudgetExceededError, validate_order
-from .evaluate import _check_overflow
+from .evaluate import _check_overflow, _power
 
 _MAX_EXHAUSTIVE = 24
 _SIGN_CHUNK = 1 << 16
@@ -77,5 +77,5 @@ def exhaustive_moment(values, q: int) -> float:
     partials = []
     for start in range(0, left.size, rows):
         s = left[start:start + rows, None] + right
-        partials.append(float(np.sum((s.real * s.real + s.imag * s.imag) ** q)))
+        partials.append(float(np.sum(_power(s.real * s.real + s.imag * s.imag, q))))
     return math.fsum(partials) / (1 << n)

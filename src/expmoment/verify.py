@@ -31,7 +31,7 @@ from .core import (
     validate_instance,
     validate_order,
 )
-from .evaluate import _check_overflow, _check_phase_range
+from .evaluate import _check_overflow, _check_phase_range, _power
 from .quadrature import (
     QuadratureConfig,
     _constant_modulus,
@@ -170,26 +170,29 @@ def _report(check: str, summary: dict, lhs: float, rhs: float, meta: dict,
 
 def _window_bound(check: str, summary: dict, source, q: int, half_width: float,
                   lhs: float, engine: str, /, **fields) -> VerificationReport:
-    """lhs <= (1/2T) integral_{|t|<=T} |S|^{2q} dt, by the dispatcher."""
+    """lhs <= (1/2T) integral_{|t|<=T} |S|^{2q} dt, by the dispatcher.  Its values
+    and bound are reported over 2T too, in the units of rhs."""
     raw, meta = _raw_window_integral(source, q, Window(0.0, half_width), engine)
-    meta.update(fields)
+    meta.update({key: meta[key] / (2 * half_width) for key in
+                 ("error_estimate", "spectral", "quadrature") if key in meta}, **fields)
     return _report(check, summary, lhs, raw / (2 * half_width), meta, meta)
 
 
 def _dominated(check: str, coeffs: ComplexCoefficients, q: int,
                shifted: Window | KernelParams, centred: Window | KernelParams,
                factor: float, engine: str, **fields) -> VerificationReport:
-    """c-sum against ``shifted`` <= factor * a-sum against ``centred``."""
+    """c-sum against ``shifted`` <= factor * a-sum against ``centred``; each
+    side's bound is in its own units, so the rhs bound is times factor."""
     q = validate_order(q)
     lhs, meta_l = _raw_window_integral(coeffs, q, shifted, engine)
     rhs, meta_r = _raw_window_integral(coeffs.dominating, q, centred, engine)
     meta = {"engine": meta_l["engine"], "q": q, **fields,
             "rhs_engine": meta_r["engine"],
             "rational_mode": meta_l.get("rational_mode", False)}
-    for side, m in (("lhs", meta_l), ("rhs", meta_r)):
-        for key in ("disagreement", "auto"):
-            if key in m:
-                meta[f"{side}_{key}"] = m[key]
+    for side, m, scale in (("lhs", meta_l, 1.0), ("rhs", meta_r, factor)):
+        for k in ("disagreement", "auto", "error_estimate", "error_kind"):
+            if k in m:
+                meta[f"{side}_{k}"] = m[k] * scale if k == "error_estimate" else m[k]
     return _report(check, _summary(coeffs), lhs, factor * rhs, meta, meta_l, meta_r)
 
 
@@ -198,10 +201,7 @@ def check_theorem1(instance: Instance, q: int, half_width: float,
     """(1/3)(sum a_n^2)^q <= (1/2T) integral_{|t|<=T} |S|^{2q} dt.  A positive lhs
     outside [2^-1022, inf) overflowed or would pass by underflow: it is refused."""
     q, energy = validate_order(q), instance.energy()
-    try:
-        lhs = THEOREM_CONSTANT * energy ** q
-    except OverflowError:
-        lhs = math.inf
+    lhs = THEOREM_CONSTANT * _power(energy, q)  # inf past the double range
     if energy > 0 and not sys.float_info.min <= lhs < math.inf:
         raise OverflowRangeError(f"(1/3)(sum a_n^2)^{q} = {lhs!r} is outside "
                                  "[2^-1022, inf); rescale the amplitudes")

@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import expmoment as em
@@ -56,3 +57,17 @@ def test_benchmark_fields_resolve():
         assert names <= {f.name for f in dataclasses.fields(table)}
     for name in ("Instance", "Window", "NotConvergedError", "TermBudgetExceededError"):
         assert hasattr(em.core, name)
+    # The hooks read ts.size and source.size off power_on_array's arguments,
+    # metadata["panels"] off the integrators' results, and params.T and
+    # window.half_width off their arguments; Recorder._count takes an
+    # AttributeError or KeyError there for a hook error, not a failure.
+    inst = em.validate_instance([1.0, 0.5], [0.0, 1.3])
+    coeffs = em.dominated_coefficients([1.0, -0.5j], inst)
+    grid = em.evaluate.Grid(np.arange(3.0), em.evaluate.Grid(np.arange(2.0), np.zeros(4)))
+    assert (grid.size, inst.size, coeffs.size) == (24, 2, 2)
+    window, params = em.Window(0.0, 2.0), em.KernelParams(2.0, 0.5)
+    assert (window.half_width, params.T) == (2.0, 2.0)
+    for result in (em.windowed_average(inst, 2, window),
+                   em.fejer_weighted_integral(coeffs, 2, params),
+                   em.windowed_average(em.validate_instance([1.0], [0.0]), 2, window)):
+        assert isinstance(result.metadata["panels"], int)

@@ -10,6 +10,7 @@ from expmoment.core import OverflowRangeError, dominated_coefficients, validate_
 from expmoment.evaluate import (
     Grid,
     _check_overflow,
+    _power,
     power_on_array,
     sum_on_array,
 )
@@ -94,6 +95,33 @@ def test_power_on_array_matches_scalar():
         vec = power_on_array(source, ts, 2)
         for t, v in zip(ts, vec):
             assert v == pytest.approx(_eval_power(source, float(t), 2), rel=1e-12)
+
+
+def test_power_on_array_is_exact_under_amplitude_scaling():
+    # c -> 2^k c scales |S|^2 by exactly 4^k, and the rounded products of
+    # squaring keep it exact in |S|^{2q}; a pow is an ulp off at some points.
+    rng = np.random.default_rng(38)
+    ts = np.linspace(-50.0, 50.0, 2 ** 18)
+    for q in (3, 4, 5, 6):
+        inst = validate_instance(rng.uniform(0.1, 1.0, 4), rng.uniform(-10.0, 10.0, 4))
+        want = power_on_array(inst, ts, q)
+        for k in (-20, 5):
+            scaled = validate_instance([math.ldexp(a, k) for a in inst.amplitudes],
+                                       inst.frequencies)
+            assert np.array_equal(power_on_array(scaled, ts, q),
+                                  np.ldexp(want, 2 * q * k)), (q, k)
+
+
+def test_power_takes_no_step_past_its_value():
+    # x^q within a factor 2^q of the double range: a square past x^q would
+    # overflow, a RuntimeWarning, which the suite turns into an error.
+    top = np.finfo(np.float64).max
+    rng = np.random.default_rng(17)
+    for q in range(1, 18):
+        x = np.concatenate(([0.5 * top ** (1 / q)], rng.uniform(0.0, 4.0, 1000)))
+        assert _power(x, q) == pytest.approx(x ** q, rel=q * 2.3e-16, abs=0.0)
+        assert _power(float(x[0]), q) == pytest.approx(float(x[0]) ** q,
+                                                       rel=q * 2.3e-16)
 
 
 @settings(max_examples=50)

@@ -110,6 +110,32 @@ def test_global_phase_and_sign_flip_invariance():
         assert exhaustive_moment(z * flips, q) == pytest.approx(base, rel=1e-12)
 
 
+def _draws(seed: int, count: int = 600):
+    """(z, q) with N <= 8 complex terms of modulus at most sqrt 2, q <= 4."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        yield rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n), int(rng.integers(1, 5))
+
+
+@pytest.mark.parametrize("moment", [exact_even_moment, exhaustive_moment])
+def test_exact_under_power_of_two_amplitude_scaling(moment):
+    # z -> 2^k z scales |sum eps_n z_n|^{2q} by exactly 2^{2qk}: both engines
+    # take rounded sums and products only, so every rounding scales with it.
+    for z, q in _draws(61):
+        want = moment(z, q)
+        for k in (-20, -5, 5, 20):
+            assert moment(np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k), q) \
+                == math.ldexp(want, 2 * q * k), (z, q, k)
+
+
+@pytest.mark.parametrize("moment", [exact_even_moment, exhaustive_moment])
+def test_invariant_under_permutation_of_the_terms(moment):
+    rng = np.random.default_rng(62)
+    for z, q in _draws(63):
+        assert moment(rng.permutation(z), q) == pytest.approx(moment(z, q), rel=1e-13)
+
+
 @pytest.mark.parametrize("complex_z", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("q", [2, 3])
 def test_exact_matches_series_oracle_at_n_1000(q, complex_z):

@@ -80,6 +80,26 @@ def test_theorem1_both_engines_report_disagreement():
     assert rep.passed
 
 
+def test_reported_bounds_are_in_the_units_of_their_sides():
+    # Theorem 1's rhs is the integral over 2T, and so are its engines' values
+    # and bound; the lemma's rhs is 3 times its integral, and so is its bound.
+    inst = validate_instance([1.0, 0.5, 0.25], [0.0, 1.3, -2.9])
+    rep = check_theorem1(inst, 2, 30.0, engine="both")
+    _, meta = verify._raw_window_integral(inst, 2, Window(0.0, 30.0), "both")
+    for key in ("spectral", "quadrature", "error_estimate"):
+        assert rep.method[key] == meta[key] / 60.0
+    assert rep.method["spectral"] == rep.rhs
+    assert rep.method["error_kind"] == "truncation_bound"
+    coeffs = dominated_coefficients([0.5j, -0.5, 0.25], inst)
+    rep = check_lemma(coeffs, 2, 30.0, 40.0, engine="quadrature")
+    _, lhs = verify._raw_window_integral(coeffs, 2, Window(40.0, 30.0), "quadrature")
+    _, rhs = verify._raw_window_integral(inst, 2, Window(0.0, 30.0), "quadrature")
+    assert rep.method["lhs_error_estimate"] == lhs["error_estimate"]
+    assert rep.method["rhs_error_estimate"] == 3.0 * rhs["error_estimate"]
+    for side in ("lhs", "rhs"):
+        assert rep.method[f"{side}_error_kind"] == "truncation_bound"
+
+
 def test_disagreeing_engines_fail_every_dispatcher_check(monkeypatch, capsys):
     # Every disagreement exceeds a tolerance of -1.  The spectral engine
     # keeps its own binding, so its merge refusal is untouched.
